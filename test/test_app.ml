@@ -149,9 +149,28 @@ let test_sim_service_hash_stable () =
 
 let test_sim_service_replay () =
   match Service.replay_check ~n:3 ~clients:12 ~requests:3 () with
-  | Ok _ -> ()
+  | Ok fp ->
+      checks "service replay fingerprint pinned"
+        "469da23e6c2953cd6ac53e781472b53e" fp
   | Error (a, b) ->
       Alcotest.failf "service sim replay diverged: %s then %s" a b
+
+(* The state hash the service has reported since the client plane
+   landed: 10k one-request clients at batch 256 / pipeline 8, seed 1.
+   The hash is a function of the delivery order and the command stream
+   only, so it pins both the ordering layer and the machine. *)
+let test_sim_service_10k_hash_pinned () =
+  let batching = { Ics_core.Abcast.batch = 256; pipeline = 8; flush_ms = 1.0 } in
+  let p =
+    Service.sim_point ~seed:1L ~batching ~n:3 ~clients:10_000 ~requests:1 ()
+  in
+  checkb "checker green and complete" true
+    (p.Service.checker_ok && p.Service.clean);
+  match p.Service.hash with
+  | Some (cursor, h) ->
+      checki "cursor" 10_000 cursor;
+      checks "state hash" "95ead26e6c8b5b63" (Printf.sprintf "%Lx" h)
+  | None -> Alcotest.fail "no state hash recorded"
 
 (* ------------------------------------------------------------------ *)
 (* Chaos app-on-top axis.                                             *)
@@ -348,6 +367,8 @@ let suites =
           test_sim_service_point;
         Alcotest.test_case "final hash stable across runs and n" `Quick
           test_sim_service_hash_stable;
+        Alcotest.test_case "sim 10k-client state hash pinned" `Slow
+          test_sim_service_10k_hash_pinned;
         Alcotest.test_case "sim replay bit-identical" `Quick
           test_sim_service_replay;
       ] );

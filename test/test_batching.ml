@@ -59,13 +59,17 @@ let test_batched_chaos_green () =
     ]
 
 (* Two runs of the batched/pipelined/ring saturation cell must produce
-   bit-identical traces — determinism does not stop at batch=1. *)
+   bit-identical traces — determinism does not stop at batch=1 — and
+   the digest is pinned, so the cell cannot drift between releases
+   either. *)
 let test_batched_replay_deterministic () =
   match
     Saturation.replay_check ~offered:200.0 ~duration_ms:400.0 ~n:3
       ~batching:batched ~broadcast:Profile.Ring ()
   with
-  | Ok _ -> ()
+  | Ok fp ->
+      Alcotest.(check string) "batched replay fingerprint pinned"
+        "9ff31cfeb0fba2b045a96ecee6944ea3" fp
   | Error (a, b) -> Alcotest.failf "batched sim replay diverged: %s vs %s" a b
 
 let delivered stack p = Abcast.delivered_sequence stack.Stack.abcast p

@@ -398,14 +398,26 @@ let test_sim_fingerprints_pinned () =
       (Chaos.Ct_on_ids, Chaos.Storm, 2L, "3f4de219553dd1fe849368cfe728120f");
     ]
   in
-  List.iter
-    (fun (stack, plan, seed, expect) ->
-      let r = Chaos.run_one stack plan ~seed in
-      Alcotest.(check string)
-        (Printf.sprintf "%s/%s seed %Ld" (Chaos.stack_name stack)
-           (Chaos.plan_name plan) seed)
-        expect r.Chaos.fingerprint)
-    cases
+  (* The same cells with the KV machine riding the broadcasts: the app
+     events and the slot blobs join the trace, so these pin the hosted
+     machine and the blob-stamped schedule too. *)
+  let app_cases =
+    [
+      (Chaos.Ct_indirect, Chaos.Blackout, 1L, "3755ff631f2656b539bbbfc48e997a9d");
+      (Chaos.Ct_on_ids, Chaos.Blackout, 1L, "d8c8ea2faeaf9e3144bc5a563c0228ec");
+      (Chaos.Mr_indirect, Chaos.Storm, 3L, "88fd51b99160545e3546e27574dde1d4");
+    ]
+  in
+  let check ~app (stack, plan, seed, expect) =
+    let r = Chaos.run_one ~app stack plan ~seed in
+    Alcotest.(check string)
+      (Printf.sprintf "%s/%s seed %Ld%s" (Chaos.stack_name stack)
+         (Chaos.plan_name plan) seed
+         (if app then " app" else ""))
+      expect r.Chaos.fingerprint
+  in
+  List.iter (check ~app:false) cases;
+  List.iter (check ~app:true) app_cases
 
 (* The fault-parity probe run is deterministic end to end: the interposer
    draws per-link streams, so this digest moving means the middleware's

@@ -124,6 +124,23 @@ let test_claims_hold () =
     verdicts;
   Alcotest.(check bool) "at least ten claims" true (List.length verdicts >= 10)
 
+(* The paper's Setup 1 workload behind every figure — n=3 CT-indirect
+   over flood, 1 kB Poisson arrivals at 800 msg/s for 20 s after a
+   0.5 s warm-up, default seed.  The latency digest and the message
+   count are a pure function of the event order, so any move here is a
+   semantics change in the simulated stack, not noise. *)
+let test_sim_paper_fingerprint_pinned () =
+  let config = { Stack.abcast_indirect with Stack.n = 3 } in
+  let load =
+    { Experiment.throughput = 800.0; body_bytes = 1000; duration = 20_500.0; warmup = 500.0 }
+  in
+  let r = Experiment.run config load in
+  let s = r.Experiment.latency in
+  Alcotest.(check (list string)) "latency mean/p50/p99"
+    [ "2.167670220"; "2.069853780"; "4.332445175" ]
+    (List.map (Printf.sprintf "%.9f") [ s.Stats.mean; s.Stats.p50; s.Stats.p99 ]);
+  checki "sent messages" 254461 r.Experiment.sent_messages
+
 let suites =
   [
     ( "experiment",
@@ -134,6 +151,8 @@ let suites =
         Alcotest.test_case "with checker" `Quick test_run_with_check;
         Alcotest.test_case "seed pooling" `Quick test_run_seeds_pools;
         Alcotest.test_case "validation" `Quick test_run_validation;
+        Alcotest.test_case "sim-paper fingerprint pinned" `Quick
+          test_sim_paper_fingerprint_pinned;
       ] );
     ( "figures",
       [
