@@ -11,18 +11,13 @@
      dune exec bench/main.exe -- figures # one section only; sections are
                                          # figures, scenarios, ablations,
                                          # faults, faults-live, claims,
-                                         # micro, wire, saturation, wire2,
-                                         # service, perf (combinable)
+                                         # micro (combinable)
 
-   The perf section measures real wall-clock time and allocation on a fixed
-   deterministic workload and writes the numbers to BENCH_PR1.json; the
-   faults-live section runs the same seeded drop plans on forked loopback
-   clusters and writes BENCH_PR5.json; the saturation section sweeps
-   offered load over the batched/pipelined/ring stack on both backends
-   and writes the knee curves to BENCH_PR6.json; the wire2 section
-   measures the in-place frame encoder against the legacy stage-then-copy
-   path, re-runs the batched live knee over the poll(2) loop, times the
-   chaos sweep at --jobs 1/2/4 and writes BENCH_PR10.json. *)
+   The faults-live section runs the same seeded drop plans on forked
+   loopback clusters and writes BENCH_PR5.json.  Wall-clock, per-layer
+   and live figures come from the repository benchmark (perfbench/,
+   declared by BENCHMARK.json); saturation knees and service points from
+   `ics_cli bench` and `ics_cli service`. *)
 
 module Stack = Ics_core.Stack
 module Abcast = Ics_core.Abcast
@@ -609,718 +604,6 @@ let run_claims ~quick =
     (List.length (List.filter (fun v -> v.Ics_workload.Claims.holds) verdicts))
     (List.length verdicts)
 
-(* --- Wall-clock perf harness --------------------------------------------- *)
-
-(* A fixed, deterministic workload: the latency table it produces is
-   bit-identical across runs and across hot-path refactors (same seed, same
-   event order), so any change in the fingerprint line signals a semantics
-   change, not noise.  Wall clock and Gc.minor_words are the real-time
-   costs of simulating it. *)
-let perf_config = { Stack.abcast_indirect with Stack.n = 3 }
-
-let perf_load ~quick =
-  {
-    Experiment.throughput = 800.0;
-    body_bytes = 1000;
-    duration = 500.0 +. (if quick then 5_000.0 else 20_000.0);
-    warmup = 500.0;
-  }
-
-let run_perf ~quick =
-  section
-    (Printf.sprintf
-       "Perf harness: indirect consensus, n=3, 1kB, 800 msg/s, %g s of traffic"
-       ((perf_load ~quick).Experiment.duration /. 1000.0));
-  let load = perf_load ~quick in
-  (* Warm-up run faults in every code path before timing starts. *)
-  ignore (Experiment.run perf_config { load with Experiment.duration = 600.0 });
-  let measure ~check =
-    Gc.compact ();
-    let minor0 = Gc.minor_words () in
-    let t0 = Unix.gettimeofday () in
-    let r = Experiment.run ~check perf_config load in
-    let wall = Unix.gettimeofday () -. t0 in
-    (r, wall, Gc.minor_words () -. minor0)
-  in
-  let r, wall, minor = measure ~check:false in
-  let rc, wallc, minorc = measure ~check:true in
-  let per_abcast m (r : Experiment.result) =
-    m /. float_of_int (max 1 r.Experiment.abroadcasts)
-  in
-  let events_per_s (r : Experiment.result) w = float_of_int r.Experiment.events /. w in
-  let table =
-    Table.create ~title:"simulator wall-clock cost (real time, not virtual)"
-      ~columns:[ "mode"; "wall[s]"; "events"; "events/s"; "minor-w/abcast" ]
-  in
-  let row name r w m =
-    Table.add_row table
-      [
-        name;
-        Printf.sprintf "%.4f" w;
-        string_of_int r.Experiment.events;
-        Printf.sprintf "%.0f" (events_per_s r w);
-        Printf.sprintf "%.1f" (per_abcast m r);
-      ]
-  in
-  row "trace-off" r wall minor;
-  row "trace-on+checker" rc wallc minorc;
-  Table.print table;
-  let s = r.Experiment.latency in
-  Format.printf "fingerprint: mean=%.9f p50=%.9f p99=%.9f sent_messages=%d@."
-    s.Stats.mean s.Stats.p50 s.Stats.p99 r.Experiment.sent_messages;
-  (match rc.Experiment.verdict with
-  | Some v -> Format.printf "checker verdict ok: %b@." (Ics_checker.Checker.ok v)
-  | None -> ());
-  let oc = open_out "BENCH_PR1.json" in
-  Printf.fprintf oc
-    {|{
-  "workload": {"n": 3, "ordering": "indirect", "body_bytes": 1000,
-               "throughput": 800.0, "virtual_duration_ms": %g},
-  "trace_off": {"wall_s": %.4f, "events": %d, "events_per_s": %.0f,
-                "abroadcasts": %d, "minor_words_per_abroadcast": %.1f},
-  "trace_on_checked": {"wall_s": %.4f, "events": %d, "events_per_s": %.0f,
-                       "minor_words_per_abroadcast": %.1f},
-  "fingerprint": {"latency_mean_ms": %.9f, "latency_p50_ms": %.9f,
-                  "latency_p99_ms": %.9f, "sent_messages": %d}
-}
-|}
-    load.Experiment.duration wall r.Experiment.events (events_per_s r wall)
-    r.Experiment.abroadcasts (per_abcast minor r) wallc rc.Experiment.events
-    (events_per_s rc wallc) (per_abcast minorc rc) s.Stats.mean s.Stats.p50
-    s.Stats.p99 r.Experiment.sent_messages;
-  close_out oc;
-  Format.printf "wrote BENCH_PR1.json@."
-
-(* --- Wire: codec throughput + live loopback clusters --------------------- *)
-
-module Codec = Ics_codec.Codec
-module Codecs = Ics_core.Codecs
-
-let run_wire ~quick =
-  section "Wire: codec throughput and live loopback clusters";
-  Codecs.ensure ();
-  (* Codec throughput on the two hot payload shapes: a full application
-     message riding the rb layer, and a consensus estimate carrying a
-     16-id proposal. *)
-  (* Constructors stay private to their layers; draw representative
-     payloads from each layer's registered fuzz generator. *)
-  let payload_of name =
-    let rng = Ics_prelude.Rng.create 7L in
-    match
-      List.find_opt (fun (e : Codec.entry) -> e.Codec.name = name) (Codec.entries ())
-    with
-    | Some e -> e.Codec.gen rng
-    | None -> Fmt.failwith "no codec named %s" name
-  in
-  let app = payload_of "rb.data" in
-  let est = payload_of "ct.est" in
-  let codec_cell name payload =
-    let iters = if quick then 50_000 else 200_000 in
-    let w = Buffer.create 256 in
-    (* encode *)
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to iters do
-      Buffer.clear w;
-      Codec.encode_payload_legacy w payload
-    done;
-    let enc_s = Unix.gettimeofday () -. t0 in
-    let bytes = Buffer.contents w in
-    (* decode *)
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to iters do
-      ignore (Codec.decode_payload (Ics_codec.Prim.reader bytes))
-    done;
-    let dec_s = Unix.gettimeofday () -. t0 in
-    let mbps s = float_of_int (iters * String.length bytes) /. s /. 1e6 in
-    ( name,
-      String.length bytes,
-      float_of_int iters /. enc_s,
-      mbps enc_s,
-      float_of_int iters /. dec_s,
-      mbps dec_s )
-  in
-  let codec_rows = [ codec_cell "rb.data" app; codec_cell "ct.est" est ] in
-  let table =
-    Table.create ~title:"codec throughput (single core)"
-      ~columns:[ "payload"; "bytes"; "enc[Mop/s]"; "enc[MB/s]"; "dec[Mop/s]"; "dec[MB/s]" ]
-  in
-  List.iter
-    (fun (name, bytes, enc_ops, enc_mb, dec_ops, dec_mb) ->
-      Table.add_row table
-        [
-          name;
-          string_of_int bytes;
-          Printf.sprintf "%.2f" (enc_ops /. 1e6);
-          Printf.sprintf "%.0f" enc_mb;
-          Printf.sprintf "%.2f" (dec_ops /. 1e6);
-          Printf.sprintf "%.0f" dec_mb;
-        ])
-    codec_rows;
-  Table.print table;
-  (* Live loopback clusters: real processes, real TCP, checker-verified. *)
-  let live_rows =
-    if not (Cluster.supported ()) then begin
-      Format.printf "live clusters skipped: no loopback sockets here@.";
-      []
-    end
-    else
-      List.filter_map
-        (fun n ->
-          let count = if quick then 20 else 50 in
-          let node =
-            {
-              Node.default_workload with
-              Node.profile =
-                {
-                  Ics_core.Profile.default with
-                  Ics_core.Profile.n;
-                  count;
-                  gap_ms = 2.0;
-                  deadline_ms = 30_000.0;
-                };
-            }
-          in
-          match Cluster.run { Cluster.default with Cluster.node } with
-          | Error e ->
-              Format.printf "n=%d: skipped (%s)@." n e;
-              None
-          | Ok o ->
-              let ok = Cluster.ok o in
-              let mean, p95, p99, max_ms =
-                match o.Cluster.latency with
-                | Some l -> (l.Cluster.mean_ms, l.Cluster.p95_ms, l.Cluster.p99_ms, l.Cluster.max_ms)
-                | None -> (Float.nan, Float.nan, Float.nan, Float.nan)
-              in
-              Some (n, count, ok, mean, p95, p99, max_ms, o.Cluster.throughput_msg_s))
-        [ 3; 5; 7 ]
-  in
-  if live_rows <> [] then begin
-    let table =
-      Table.create
-        ~title:"live loopback abcast (ct, indirect, flood; every node broadcasts)"
-        ~columns:
-          [ "n"; "msgs/node"; "checker"; "mean[ms]"; "p95[ms]"; "p99[ms]"; "max[ms]"; "tput[msg/s]" ]
-    in
-    List.iter
-      (fun (n, count, ok, mean, p95, p99, max_ms, tput) ->
-        Table.add_row table
-          [
-            string_of_int n;
-            string_of_int count;
-            (if ok then "ok" else "FAIL");
-            Printf.sprintf "%.2f" mean;
-            Printf.sprintf "%.2f" p95;
-            Printf.sprintf "%.2f" p99;
-            Printf.sprintf "%.2f" max_ms;
-            Printf.sprintf "%.0f" tput;
-          ])
-      live_rows;
-    Table.print table
-  end;
-  let oc = open_out "BENCH_PR3.json" in
-  let codec_json =
-    String.concat ",\n"
-      (List.map
-         (fun (name, bytes, enc_ops, enc_mb, dec_ops, dec_mb) ->
-           Printf.sprintf
-             {|    {"payload": %S, "bytes": %d, "enc_ops_s": %.0f, "enc_mb_s": %.1f, "dec_ops_s": %.0f, "dec_mb_s": %.1f}|}
-             name bytes enc_ops enc_mb dec_ops dec_mb)
-         codec_rows)
-  in
-  let live_json =
-    String.concat ",\n"
-      (List.map
-         (fun (n, count, ok, mean, p95, p99, max_ms, tput) ->
-           Printf.sprintf
-             {|    {"n": %d, "msgs_per_node": %d, "checker_ok": %b, "latency_mean_ms": %.3f, "latency_p95_ms": %.3f, "latency_p99_ms": %.3f, "latency_max_ms": %.3f, "throughput_msg_s": %.0f}|}
-             n count ok mean p95 p99 max_ms tput)
-         live_rows)
-  in
-  Printf.fprintf oc "{\n  \"codec\": [\n%s\n  ],\n  \"live_loopback\": [\n%s\n  ]\n}\n"
-    codec_json live_json;
-  close_out oc;
-  Format.printf "wrote BENCH_PR3.json@."
-
-(* --- Saturation: offered-load knee curves -------------------------------- *)
-
-module Saturation = Ics_workload.Saturation
-module Profile = Ics_core.Profile
-
-(* The PR3 live headline this PR's tentpole is measured against: ct/
-   indirect/flood, unbatched, n=5, from BENCH_PR3.json's live_loopback. *)
-let pr3_live_msg_s = 2_525.0
-
-let run_saturation ~quick =
-  section "Saturation: batched/pipelined indirect consensus, offered-load sweep";
-  Codecs.ensure ();
-  let n = 5 in
-  let batched = { Abcast.batch = 32; pipeline = 4; flush_ms = 1.0 } in
-  let status p =
-    if Saturation.healthy p then "ok"
-    else if p.Saturation.checker_ok then "overload (checker ok)"
-    else "CHECKER FAIL"
-  in
-  let print_curve title (c : Saturation.curve) =
-    let table =
-      Table.create ~title
-        ~columns:
-          [ "offered"; "achieved"; "mean[ms]"; "p95[ms]"; "p99[ms]"; "max[ms]"; "status" ]
-    in
-    List.iter
-      (fun (p : Saturation.point) ->
-        Table.add_row table
-          [
-            Printf.sprintf "%.0f" p.Saturation.offered;
-            Printf.sprintf "%.0f" p.Saturation.achieved;
-            Printf.sprintf "%.2f" p.Saturation.latency.Stats.mean;
-            Printf.sprintf "%.2f" p.Saturation.latency.Stats.p95;
-            Printf.sprintf "%.2f" p.Saturation.latency.Stats.p99;
-            Printf.sprintf "%.2f" p.Saturation.latency.Stats.max;
-            status p;
-          ])
-      c.Saturation.points;
-    Table.print table;
-    match Saturation.knee c with
-    | Some k ->
-        Format.printf "knee: %.0f msg/s achieved at %.0f offered (p99 %.2f ms)@."
-          k.Saturation.achieved k.Saturation.offered k.Saturation.latency.Stats.p99;
-        Some k
-    | None ->
-        Format.printf "knee: no points@.";
-        None
-  in
-  let point_json (p : Saturation.point) =
-    let f v = if Float.is_nan v then "null" else Printf.sprintf "%.3f" v in
-    Printf.sprintf
-      {|      {"offered": %.0f, "achieved": %.1f, "mean_ms": %s, "p95_ms": %s, "p99_ms": %s, "max_ms": %s, "util": %s, "checker_ok": %b, "clean": %b, "delivered": %d}|}
-      p.Saturation.offered p.Saturation.achieved
-      (f p.Saturation.latency.Stats.mean)
-      (f p.Saturation.latency.Stats.p95)
-      (f p.Saturation.latency.Stats.p99)
-      (f p.Saturation.latency.Stats.max)
-      (f p.Saturation.util) p.Saturation.checker_ok p.Saturation.clean
-      p.Saturation.delivered
-  in
-  let curve_json (c : Saturation.curve) =
-    String.concat ",\n" (List.map point_json c.Saturation.points)
-  in
-  let knee_json = function
-    | Some (k : Saturation.point) -> Printf.sprintf "%.1f" k.Saturation.achieved
-    | None -> "null"
-  in
-  (* Simulated sweeps: the seed shape saturates around 1 k msg/s, the
-     batched/pipelined/ring shape around 4 k; past the knee the open-loop
-     sim drains everything, so p99 is the overload signal. *)
-  let sim_dur = if quick then 2_000.0 else 4_000.0 in
-  let sim_seed =
-    Saturation.sim_curve ~duration_ms:sim_dur ~n ~batching:Abcast.no_batching
-      ~broadcast:Profile.Flood
-      [ 250.0; 500.0; 750.0; 1_000.0; 1_500.0; 2_000.0 ]
-  in
-  let k_sim_seed = print_curve "sim: seed (unbatched, flood)" sim_seed in
-  let sim_batched =
-    Saturation.sim_curve ~duration_ms:sim_dur ~n ~batching:batched
-      ~broadcast:Profile.Ring
-      [ 1_000.0; 2_000.0; 3_000.0; 4_000.0; 5_000.0; 6_000.0 ]
-  in
-  let k_sim_batched =
-    print_curve "sim: batch=32 pipeline=4 flush=1ms, ring" sim_batched
-  in
-  (* Live sweeps: real processes on loopback TCP.  Overload shows up as
-     the drain running long (p99 explodes), never as a dirty trace. *)
-  let live_seed, live_batched =
-    if not (Saturation.live_supported ()) then begin
-      Format.printf "live sweeps skipped: no loopback sockets here@.";
-      (None, None)
-    end
-    else
-      (* Best-of-3 per point: one co-tenant burst during a 1 s arrival
-         window is noise, not a capacity statement (see Saturation). *)
-      let seed =
-        Saturation.live_curve ~duration_ms:1_000.0 ~attempts:3 ~n
-          ~batching:Abcast.no_batching ~broadcast:Profile.Flood
-          [ 1_000.0; 2_000.0; 3_000.0; 4_000.0 ]
-      in
-      let batched_c =
-        Saturation.live_curve ~duration_ms:1_000.0 ~attempts:3 ~n
-          ~batching:batched ~broadcast:Profile.Ring
-          [ 2_000.0; 5_000.0; 8_000.0; 11_000.0; 13_000.0; 15_000.0 ]
-      in
-      (Some seed, Some batched_c)
-  in
-  let k_live_seed = Option.map (print_curve "live: seed (unbatched, flood)") live_seed in
-  let k_live_batched =
-    Option.map (print_curve "live: batch=32 pipeline=4 flush=1ms, ring") live_batched
-  in
-  (match Option.join k_live_batched with
-  | Some k ->
-      Format.printf "@.live knee vs BENCH_PR3 (%.0f msg/s): %.1fx@." pr3_live_msg_s
-        (k.Saturation.achieved /. pr3_live_msg_s)
-  | None -> ());
-  let oc = open_out "BENCH_PR6.json" in
-  Printf.fprintf oc
-    {|{
-  "n": %d,
-  "config": {"batch": %d, "pipeline": %d, "flush_ms": %.1f, "dissemination": "ring", "algo": "ct", "ordering": "indirect"},
-  "p99_bound_ms": %.1f,
-  "sim": {
-    "seed": [
-%s
-    ],
-    "batched": [
-%s
-    ]
-  },
-  "live": {
-    "seed": [
-%s
-    ],
-    "batched": [
-%s
-    ]
-  },
-  "knee_msg_s": {"sim_seed": %s, "sim_batched": %s, "live_seed": %s, "live_batched": %s},
-  "pr3_live_msg_s": %.0f
-}
-|}
-    n batched.Abcast.batch batched.Abcast.pipeline batched.Abcast.flush_ms
-    Saturation.p99_bound_ms (curve_json sim_seed) (curve_json sim_batched)
-    (match live_seed with Some c -> curve_json c | None -> "")
-    (match live_batched with Some c -> curve_json c | None -> "")
-    (knee_json k_sim_seed) (knee_json k_sim_batched)
-    (knee_json (Option.join k_live_seed))
-    (knee_json (Option.join k_live_batched))
-    pr3_live_msg_s;
-  close_out oc;
-  Format.printf "wrote BENCH_PR6.json@."
-
-(* --- Wire2: the encode-into/poll/jobs plane ------------------------------ *)
-
-module Bq = Ics_codec.Bq
-module Chaos = Ics_workload.Chaos
-
-(* The PR6 live headline the poll(2) rewrite is measured against:
-   batch=32/pipeline=4/ring at n=5 over the select(2) loop, from
-   BENCH_PR6.json's knee_msg_s.live_batched. *)
-let pr6_live_msg_s = 14_906.1
-
-(* Time one full sim sweep at a given [jobs] in a forked child: the child
-   may spawn domains freely, while this process must stay fork-capable
-   for the live sections (a process that ever spawned a domain can no
-   longer fork). *)
-let timed_sweep_in_child ~quick ~jobs =
-  let r, w = Unix.pipe () in
-  match Unix.fork () with
-  | 0 ->
-      Unix.close r;
-      let seeds = if quick then 2 else 4 in
-      let t0 = Unix.gettimeofday () in
-      let cells =
-        Chaos.sweep ~seed_base:11L ~seeds
-          ~progress:(fun _ -> ())
-          ~jobs ~stacks:Chaos.all_stacks ~plans:Chaos.all_plans ()
-      in
-      let dt = Unix.gettimeofday () -. t0 in
-      let ok = Chaos.indirect_clean cells && Chaos.blackout_reproduced cells in
-      let line = Printf.sprintf "%b %.6f\n" ok dt in
-      let b = Bytes.of_string line in
-      ignore (Unix.write w b 0 (Bytes.length b) : int);
-      Unix._exit 0
-  | pid -> (
-      Unix.close w;
-      let buf = Bytes.create 256 in
-      let n = Unix.read r buf 0 256 in
-      Unix.close r;
-      (match Unix.waitpid [] pid with
-      | _, Unix.WEXITED 0 -> ()
-      | _, _ -> failwith "sweep child died");
-      match Scanf.sscanf (Bytes.sub_string buf 0 n) " %B %f" (fun ok dt -> (ok, dt)) with
-      | ok, dt -> (ok, dt))
-
-let run_wire2 ~quick =
-  section "Wire2: in-place frame encoding, poll(2) loop, parallel sweep";
-  Codecs.ensure ();
-  (* Frame encode rate: the stage-then-copy legacy path against
-     encode-into — header reserved and backpatched around an in-place
-     body, straight into the (drained-per-frame) outbound queue, exactly
-     as the transport's emit path runs it. *)
-  let payload_of name =
-    let rng = Ics_prelude.Rng.create 7L in
-    match
-      List.find_opt (fun (e : Codec.entry) -> e.Codec.name = name) (Codec.entries ())
-    with
-    | Some e -> e.Codec.gen rng
-    | None -> Fmt.failwith "no codec named %s" name
-  in
-  let iters = if quick then 100_000 else 400_000 in
-  let frame_cell name =
-    let payload = payload_of name in
-    let b = Buffer.create 256 in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to iters do
-      Buffer.clear b;
-      ignore (Codec.encode_frame_legacy b ~src:1 ~dst:2 ~layer:"consensus" payload : int)
-    done;
-    let legacy_s = Unix.gettimeofday () -. t0 in
-    let frame_bytes = Buffer.length b in
-    let q = Bq.create 256 in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to iters do
-      ignore (Codec.encode_frame q ~src:1 ~dst:2 ~layer:"consensus" payload : int);
-      Bq.consume q (Bq.length q)
-    done;
-    let into_s = Unix.gettimeofday () -. t0 in
-    ( name,
-      frame_bytes,
-      float_of_int iters /. legacy_s,
-      float_of_int iters /. into_s,
-      legacy_s /. into_s )
-  in
-  let enc_rows = [ frame_cell "rb.data"; frame_cell "ct.est" ] in
-  let table =
-    Table.create ~title:"frame encode (header+crc+body, single core)"
-      ~columns:[ "payload"; "frame[B]"; "legacy[Mf/s]"; "into[Mf/s]"; "speedup" ]
-  in
-  List.iter
-    (fun (name, bytes, legacy_fs, into_fs, speedup) ->
-      Table.add_row table
-        [
-          name;
-          string_of_int bytes;
-          Printf.sprintf "%.2f" (legacy_fs /. 1e6);
-          Printf.sprintf "%.2f" (into_fs /. 1e6);
-          Printf.sprintf "%.2fx" speedup;
-        ])
-    enc_rows;
-  Table.print table;
-  (* Live saturation knee over the poll(2) loop, same shape as the PR6
-     headline (batch=32/pipeline=4/ring, n=5, best-of-3). *)
-  let batched = { Abcast.batch = 32; pipeline = 4; flush_ms = 1.0 } in
-  let live_knee =
-    if not (Saturation.live_supported ()) then begin
-      Format.printf "live sweep skipped: no loopback sockets here@.";
-      None
-    end
-    else begin
-      let c =
-        Saturation.live_curve ~duration_ms:1_000.0 ~attempts:3 ~n:5
-          ~batching:batched ~broadcast:Profile.Ring
-          [ 2_000.0; 5_000.0; 8_000.0; 11_000.0; 13_000.0; 15_000.0 ]
-      in
-      let table =
-        Table.create ~title:"live: batch=32 pipeline=4 flush=1ms, ring, poll loop"
-          ~columns:[ "offered"; "achieved"; "p99[ms]"; "status" ]
-      in
-      List.iter
-        (fun (p : Saturation.point) ->
-          Table.add_row table
-            [
-              Printf.sprintf "%.0f" p.Saturation.offered;
-              Printf.sprintf "%.0f" p.Saturation.achieved;
-              Printf.sprintf "%.2f" p.Saturation.latency.Stats.p99;
-              (if Saturation.healthy p then "ok"
-               else if p.Saturation.checker_ok then "overload (checker ok)"
-               else "CHECKER FAIL");
-            ])
-        c.Saturation.points;
-      Table.print table;
-      match Saturation.knee c with
-      | Some k ->
-          Format.printf "knee: %.0f msg/s; vs BENCH_PR6 select loop (%.0f): %.2fx@."
-            k.Saturation.achieved pr6_live_msg_s
-            (k.Saturation.achieved /. pr6_live_msg_s);
-          Some k.Saturation.achieved
-      | None ->
-          Format.printf "knee: no points@.";
-          None
-    end
-  in
-  (* Sweep wall clock at jobs = 1/2/4.  Each level runs in its own forked
-     child (domains forbid forking afterwards); speedup is bounded by the
-     host's core count, which the JSON records. *)
-  let cores = Domain.recommended_domain_count () in
-  let jobs_rows =
-    List.map
-      (fun jobs ->
-        let ok, dt = timed_sweep_in_child ~quick ~jobs in
-        (jobs, ok, dt))
-      [ 1; 2; 4 ]
-  in
-  let base = match jobs_rows with (_, _, dt) :: _ -> dt | [] -> Float.nan in
-  let table =
-    Table.create
-      ~title:(Printf.sprintf "chaos sweep wall clock (%d cores available)" cores)
-      ~columns:[ "jobs"; "gates"; "wall[s]"; "speedup" ]
-  in
-  List.iter
-    (fun (jobs, ok, dt) ->
-      Table.add_row table
-        [
-          string_of_int jobs;
-          (if ok then "ok" else "FAIL");
-          Printf.sprintf "%.2f" dt;
-          Printf.sprintf "%.2fx" (base /. dt);
-        ])
-    jobs_rows;
-  Table.print table;
-  let oc = open_out "BENCH_PR10.json" in
-  let enc_json =
-    String.concat ",\n"
-      (List.map
-         (fun (name, bytes, legacy_fs, into_fs, speedup) ->
-           Printf.sprintf
-             {|    {"payload": %S, "frame_bytes": %d, "legacy_frames_s": %.0f, "into_frames_s": %.0f, "speedup": %.3f}|}
-             name bytes legacy_fs into_fs speedup)
-         enc_rows)
-  in
-  let jobs_json =
-    String.concat ",\n"
-      (List.map
-         (fun (jobs, ok, dt) ->
-           Printf.sprintf
-             {|    {"jobs": %d, "gates_ok": %b, "wall_s": %.3f, "speedup": %.3f}|}
-             jobs ok dt (base /. dt))
-         jobs_rows)
-  in
-  Printf.fprintf oc
-    {|{
-  "encode_frame": [
-%s
-  ],
-  "live_knee_msg_s": %s,
-  "pr6_live_msg_s": %.1f,
-  "cores": %d,
-  "sweep_jobs": [
-%s
-  ]
-}
-|}
-    enc_json
-    (match live_knee with Some k -> Printf.sprintf "%.1f" k | None -> "null")
-    pr6_live_msg_s cores jobs_json;
-  close_out oc;
-  Format.printf "wrote BENCH_PR10.json@."
-
-(* --- Service: closed-loop client plane ----------------------------------- *)
-
-module Service = Ics_workload.Service
-
-(* Tens of thousands of closed-loop clients against the replicated
-   KV/ledger, sim and live at n=3 and n=5.  Every point is gated by the
-   abcast battery plus the application battery, and the headline number
-   is what a client sees: submit -> applied-at-home p50/p99.  The
-   sim/live pair at each n must land on the same final state hash. *)
-let run_service ~quick =
-  section "Service: closed-loop KV/ledger clients, checker- and hash-gated";
-  Codecs.ensure ();
-  let batching = { Abcast.batch = 256; pipeline = 8; flush_ms = 1.0 } in
-  let clients = if quick then 2_000 else 10_000 in
-  let requests = 1 in
-  let live_ok = Service.live_supported () in
-  let pair n =
-    let sim = Service.sim_point ~seed:1L ~batching ~n ~clients ~requests () in
-    let live =
-      if not live_ok then None
-      else
-        match
-          Service.live_point ~seed:1L ~batching ~attempts:3 ~deadline_ms:60_000.0
-            ~n ~clients ~requests ()
-        with
-        | Ok p -> Some p
-        | Error _ -> None
-    in
-    (n, sim, live)
-  in
-  let results = List.map pair [ 3; 5 ] in
-  let status (p : Service.point) =
-    if p.Service.checker_ok && p.Service.clean then "ok"
-    else if not p.Service.checker_ok then "CHECKER FAIL"
-    else "INCOMPLETE"
-  in
-  let table =
-    Table.create ~title:(Printf.sprintf "service: %d closed-loop clients" clients)
-      ~columns:
-        [ "backend"; "n"; "cmd/s"; "p50[ms]"; "p99[ms]"; "status"; "hash" ]
-  in
-  let row (p : Service.point) =
-    Table.add_row table
-      [
-        (match p.Service.backend with `Sim -> "sim" | `Live -> "live");
-        string_of_int p.Service.n;
-        Printf.sprintf "%.0f" p.Service.achieved;
-        Printf.sprintf "%.2f" p.Service.latency.Stats.p50;
-        Printf.sprintf "%.2f" p.Service.latency.Stats.p99;
-        status p;
-        (match p.Service.hash with
-        | Some (c, h) -> Printf.sprintf "%Lx@%d" h c
-        | None -> "-");
-      ]
-  in
-  List.iter
-    (fun (_, sim, live) ->
-      row sim;
-      Option.iter row live)
-    results;
-  Table.print table;
-  if not live_ok then
-    Format.printf "live points skipped: no loopback sockets here@.";
-  List.iter
-    (fun (n, sim, live) ->
-      match live with
-      | None -> ()
-      | Some lp ->
-          if Service.hash_match sim lp then
-            Format.printf "n=%d: sim and live state hashes agree@." n
-          else Format.printf "n=%d: STATE HASH DIVERGENCE@." n)
-    results;
-  let point_json (p : Service.point) =
-    Printf.sprintf
-      {|      {"n": %d, "clients": %d, "requests": %d, "commands": %d, "achieved_cmd_s": %.1f, "p50_ms": %.3f, "p99_ms": %.3f, "mean_ms": %.3f, "checker_ok": %b, "clean": %b, "state_hash": %s, "cursor": %s}|}
-      p.Service.n p.Service.clients p.Service.requests p.Service.commands
-      p.Service.achieved p.Service.latency.Stats.p50
-      p.Service.latency.Stats.p99 p.Service.latency.Stats.mean
-      p.Service.checker_ok p.Service.clean
-      (match p.Service.hash with
-      | Some (_, h) -> Printf.sprintf {|"%Lx"|} h
-      | None -> "null")
-      (match p.Service.hash with
-      | Some (c, _) -> string_of_int c
-      | None -> "null")
-  in
-  let sims = List.map (fun (_, s, _) -> point_json s) results in
-  let lives = List.filter_map (fun (_, _, l) -> Option.map point_json l) results in
-  let agree =
-    List.filter_map
-      (fun (n, sim, live) ->
-        Option.map
-          (fun lp ->
-            Printf.sprintf {|"n%d": %b|} n (Service.hash_match sim lp))
-          live)
-      results
-  in
-  let oc = open_out "BENCH_PR8.json" in
-  Printf.fprintf oc
-    {|{
-  "clients": %d,
-  "requests": %d,
-  "config": {"batch": %d, "pipeline": %d, "flush_ms": %.1f, "algo": "ct", "ordering": "indirect"},
-  "sim": [
-%s
-  ],
-  "live": [
-%s
-  ],
-  "hash_agreement": {%s}
-}
-|}
-    clients requests batching.Abcast.batch batching.Abcast.pipeline
-    batching.Abcast.flush_ms
-    (String.concat ",\n" sims)
-    (String.concat ",\n" lives)
-    (String.concat ", " agree);
-  close_out oc;
-  Format.printf "wrote BENCH_PR8.json@."
-
 (* --- Bechamel microbenchmarks -------------------------------------------- *)
 
 let micro_tests () =
@@ -1410,9 +693,4 @@ let () =
   if want "faults-live" then run_faults_live ~quick;
   if want "claims" then run_claims ~quick;
   if want "micro" then run_micro ();
-  if want "wire" then run_wire ~quick;
-  if want "saturation" then run_saturation ~quick;
-  if want "wire2" then run_wire2 ~quick;
-  if want "service" then run_service ~quick;
-  if want "perf" then run_perf ~quick;
   Format.printf "@.done.@."

@@ -10,6 +10,11 @@ module Experiment = Ics_workload.Experiment
 module Figures = Ics_workload.Figures
 module Scenarios = Ics_workload.Scenarios
 module Chaos = Ics_workload.Chaos
+module Point = Ics_workload.Point
+module Saturation = Ics_workload.Saturation
+module Node = Ics_runtime.Node
+module Cluster = Ics_runtime.Cluster
+module Trace_io = Ics_runtime.Trace_io
 module Table = Ics_prelude.Table
 module Stats = Ics_prelude.Stats
 
@@ -261,7 +266,7 @@ let chaos_cmd =
         ~all:Chaos.all_plans plans
     in
     let backend = if live then `Live else `Sim in
-    if live && not (Chaos.live_supported ()) then begin
+    if live && not (Cluster.supported ()) then begin
       Format.eprintf "chaos: skip: loopback sockets unavailable in this environment@.";
       exit 2
     end;
@@ -464,10 +469,6 @@ let chaos_cmd =
    driving a cluster by hand across terminals, or as the child of
    `cluster --exec`). *)
 
-module Node = Ics_runtime.Node
-module Cluster = Ics_runtime.Cluster
-module Trace_io = Ics_runtime.Trace_io
-
 let pp_latency ppf (l : Cluster.latency) =
   Format.fprintf ppf "mean=%.2f ms p95=%.2f ms p99=%.2f ms max=%.2f ms (%d samples)"
     l.Cluster.mean_ms l.Cluster.p95_ms l.Cluster.p99_ms l.Cluster.max_ms
@@ -659,8 +660,6 @@ let node_cmd =
    sim or live backend, each point correctness-gated by the full checker
    battery, knee reported at the end. *)
 
-module Saturation = Ics_workload.Saturation
-
 let bench_cmd =
   let exec profile offered live duration size seed replay_check =
     let loads =
@@ -678,63 +677,75 @@ let bench_cmd =
       Format.eprintf "bench: --offered-load is empty@.";
       exit 2
     end;
-    let n = profile.Profile.n in
-    let algo = profile.Profile.algo in
-    let ordering = profile.Profile.ordering in
-    let broadcast = profile.Profile.broadcast in
+    if not (duration > 0.0 && Float.is_finite duration) then begin
+      Format.eprintf "bench: --duration must be > 0 seconds@.";
+      exit 2
+    end;
     let batching = Profile.batching profile in
     Format.printf
       "saturation: %s dissemination=%s batch=%d pipeline=%d flush=%.1fms %s@."
       (Profile.describe profile)
-      (Profile.broadcast_to_string broadcast)
+      (Profile.broadcast_to_string profile.Profile.broadcast)
       batching.Abcast.batch batching.Abcast.pipeline batching.Abcast.flush_ms
       (if live then "live" else "sim");
+    let node =
+      {
+        Node.default_workload with
+        Node.profile = { profile with Profile.body_bytes = size };
+        seed;
+      }
+    in
+    let duration_ms = duration *. 1000.0 in
     if replay_check then begin
-      match
-        Saturation.replay_check ~seed ~algo ~ordering ~n ~batching ~broadcast ()
-      with
+      let cell =
+        Point.fixed_rate (Point.Sim Point.lan) ~offered:400.0 ~duration_ms:1_000.0
+          node.Node.profile
+      in
+      match Point.replay_check Point.lan { node with Node.profile = cell } with
       | Ok fp -> Format.printf "replay check: bit-identical (%s)@." fp
       | Error (a, b) ->
           Format.printf "FAIL: saturation cell replayed differently: %s vs %s@."
             a b;
           exit 1
     end;
-    let curve =
-      if live then begin
-        if not (Saturation.live_supported ()) then begin
-          Format.eprintf
-            "bench: skip: loopback sockets unavailable in this environment@.";
-          exit 2
-        end;
-        Saturation.live_curve ~seed ~algo ~ordering ~body_bytes:size
-          ~duration_ms:(duration *. 1000.0) ~n ~batching ~broadcast loads
-      end
-      else
-        Saturation.sim_curve ~seed ~algo ~ordering ~body_bytes:size
-          ~duration_ms:(duration *. 1000.0) ~n ~batching ~broadcast loads
+    if live && not (Cluster.supported ()) then begin
+      Format.eprintf "bench: skip: loopback sockets unavailable in this environment@.";
+      exit 2
+    end;
+    let backend = if live then Point.Live else Point.Sim Point.lan in
+    let points =
+      List.map
+        (fun offered ->
+          { Saturation.offered; outcome = Point.open_loop backend node ~offered ~duration_ms })
+        loads
     in
     Format.printf
       "@.%10s %10s %9s %9s %9s %9s %6s  %s@." "offered" "achieved" "mean"
       "p95" "p99" "max" "util" "status";
     List.iter
       (fun (p : Saturation.point) ->
+        let o = p.Saturation.outcome in
+        let l = o.Point.latency in
         Format.printf "%10.0f %10.0f %9.2f %9.2f %9.2f %9.2f %6s  %s@."
-          p.Saturation.offered p.Saturation.achieved p.Saturation.latency.Stats.mean
-          p.Saturation.latency.Stats.p95 p.Saturation.latency.Stats.p99
-          p.Saturation.latency.Stats.max
-          (if Float.is_nan p.Saturation.util then "-"
-           else Printf.sprintf "%.0f%%" (p.Saturation.util *. 100.0))
-          (if not p.Saturation.checker_ok then "CHECKER FAIL"
+          p.Saturation.offered o.Point.throughput l.Stats.mean l.Stats.p95
+          l.Stats.p99 l.Stats.max
+          (if Float.is_nan o.Point.util then "-"
+           else Printf.sprintf "%.0f%%" (o.Point.util *. 100.0))
+          (if not (Ics_checker.Checker.ok o.Point.verdict) then "CHECKER FAIL"
            else if Saturation.healthy p then "ok"
            else "overload (checker ok)"))
-      curve.Saturation.points;
-    (match Saturation.knee curve with
+      points;
+    (match Saturation.knee points with
     | Some k ->
         Format.printf "@.knee: %.0f msg/s achieved at %.0f offered (p99 %.2f ms)@."
-          k.Saturation.achieved k.Saturation.offered k.Saturation.latency.Stats.p99
+          k.Saturation.outcome.Point.throughput k.Saturation.offered
+          k.Saturation.outcome.Point.latency.Stats.p99
     | None -> Format.printf "@.knee: no points ran@.");
-    if List.exists (fun (p : Saturation.point) -> not p.Saturation.checker_ok)
-         curve.Saturation.points
+    if
+      List.exists
+        (fun (p : Saturation.point) ->
+          not (Ics_checker.Checker.ok p.Saturation.outcome.Point.verdict))
+        points
     then begin
       Format.printf "FAIL: a point violated the checker battery@.";
       exit 1
@@ -767,8 +778,9 @@ let bench_cmd =
       & info [ "replay-check" ]
           ~doc:
             "First rerun one deterministic sim cell of this configuration \
-             twice and fail unless the trace fingerprints match — the \
-             determinism gate for the batched/pipelined/ring path.")
+             (fixed-gap arrivals at 400 msg/s for 1 s) twice and fail unless \
+             the trace fingerprints match — the determinism gate for the \
+             batched/pipelined/ring path.")
   in
   Cmd.v
     (Cmd.info "bench"
@@ -782,8 +794,8 @@ let bench_cmd =
               latency percentiles per point, and prints the knee — the fastest \
               point that is still checker-green and finished cleanly. Exit \
               status: 0 on success (overloaded points are expected past the \
-              knee), 1 if any point fails the checker, 2 if $(b,--live) has no \
-              socket support.";
+              knee), 1 if any point fails the checker, 2 on a bad argument or \
+              if $(b,--live) has no socket support.";
          ])
     Term.(
       const exec $ profile $ offered $ live $ duration $ size $ seed
@@ -794,11 +806,8 @@ let bench_cmd =
    by the abcast battery plus the application battery, and (with --live)
    the live cluster's final state hash must match the simulator's. *)
 
-module Service = Ics_workload.Service
-
 let service_cmd =
-  let exec n clients requests seed batch pipeline flush live attempts
-      replay_check =
+  let exec n clients requests seed batch pipeline flush live replay_check =
     let batching = { Abcast.batch; pipeline; flush_ms = flush } in
     if batch < 1 || pipeline < 1 || flush < 0.0 || n < 1 || clients < 1
        || requests < 1
@@ -808,54 +817,50 @@ let service_cmd =
          --flush >= 0@.";
       exit 2
     end;
+    let sim = Point.Sim Point.lan in
     if replay_check then begin
-      match Service.replay_check ~seed ~batching ~n () with
+      let cell =
+        Point.service ~seed ~batching ~hash_every:16 ~ramp_ms:200.0
+          ~horizon_ms:60_000.0 sim ~n ~clients:24 ~requests:3
+      in
+      match Point.replay_check Point.lan cell with
       | Ok fp -> Format.printf "replay check: bit-identical (%s)@." fp
       | Error (a, b) ->
           Format.printf "FAIL: service cell replayed differently: %s vs %s@." a
             b;
           exit 1
     end;
-    let pp_point (p : Service.point) =
+    let pp_point backend (o : Point.outcome) =
       Format.printf
         "%-4s n=%d clients=%d requests=%d: %d commands, %.0f cmd/s, p50 %.2f \
          ms, p99 %.2f ms, %s%s@."
-        (match p.Service.backend with `Sim -> "sim" | `Live -> "live")
-        p.Service.n p.Service.clients p.Service.requests p.Service.commands
-        p.Service.achieved p.Service.latency.Stats.p50
-        p.Service.latency.Stats.p99
-        (if p.Service.checker_ok && p.Service.clean then "ok"
-         else if not p.Service.checker_ok then "CHECKER FAIL"
+        backend n clients requests o.Point.expected o.Point.throughput
+        o.Point.app_latency.Stats.p50 o.Point.app_latency.Stats.p99
+        (if Point.ok o then "ok"
+         else if not (Ics_checker.Checker.ok o.Point.verdict) then "CHECKER FAIL"
          else "INCOMPLETE")
-        (match p.Service.hash with
+        (match o.Point.app_hash with
         | Some (c, h) -> Printf.sprintf " (hash %Lx @ %d)" h c
         | None -> "")
     in
-    let sim = Service.sim_point ~seed ~batching ~n ~clients ~requests () in
-    pp_point sim;
-    let failed = ref (not (sim.Service.checker_ok && sim.Service.clean)) in
+    let point backend = Point.run backend (Point.service ~seed ~batching backend ~n ~clients ~requests) in
+    let sp = point sim in
+    pp_point "sim" sp;
+    let failed = ref (not (Point.ok sp)) in
     if live then begin
-      if not (Service.live_supported ()) then begin
+      if not (Cluster.supported ()) then begin
         Format.eprintf
           "service: skip: loopback sockets unavailable in this environment@.";
         exit 2
       end;
-      match
-        Service.live_point ~seed ~batching ~attempts ~n ~clients ~requests ()
-      with
-      | Error reason ->
-          Format.eprintf "service: skip: %s@." reason;
-          exit 2
-      | Ok lp ->
-          pp_point lp;
-          if not (lp.Service.checker_ok && lp.Service.clean) then failed := true;
-          if Service.hash_match sim lp then
-            Format.printf "state hash: sim and live agree@."
-          else begin
-            Format.printf
-              "FAIL: sim and live disagree on the final state hash@.";
-            failed := true
-          end
+      let lp = point Point.Live in
+      pp_point "live" lp;
+      if not (Point.ok lp) then failed := true;
+      if Point.hash_match sp lp then Format.printf "state hash: sim and live agree@."
+      else begin
+        Format.printf "FAIL: sim and live disagree on the final state hash@.";
+        failed := true
+      end
     end;
     if !failed then begin
       Format.printf "FAIL: a service point violated its battery@.";
@@ -888,15 +893,9 @@ let service_cmd =
       value & flag
       & info [ "live" ]
           ~doc:
-            "Also run the point as a forked loopback-TCP cluster and require \
-             its final state hash to match the simulator's, bit for bit. \
-             Exit 2 when the environment cannot create sockets.")
-  in
-  let attempts =
-    Arg.(
-      value & opt int 2
-      & info [ "attempts" ]
-          ~doc:"Best-of-k reruns for an unhealthy live point (checker-gated).")
+            "Also run the point once as a forked loopback-TCP cluster and \
+             require its final state hash to match the simulator's, bit for \
+             bit. Exit 2 when the environment cannot create sockets.")
   in
   let replay_check =
     Arg.(
@@ -925,7 +924,7 @@ let service_cmd =
          ])
     Term.(
       const exec $ n $ clients $ requests $ seed $ batch $ pipeline $ flush
-      $ live $ attempts $ replay_check)
+      $ live $ replay_check)
 
 let list_cmd =
   let exec () =

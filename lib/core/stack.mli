@@ -105,6 +105,10 @@ val assemble :
     caller's business.  Also registers all wire codecs
     ({!Codecs.ensure}). *)
 
+val build_model : config -> Model.t * Host.t
+(** The network model and host cost model [setup] names, before any
+    scripted rule — what {!create} builds on. *)
+
 val profile : config -> Profile.t
 (** The {!Profile.t} with this config's shape and default workload
     fields. *)

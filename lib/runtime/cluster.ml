@@ -325,12 +325,8 @@ let run config =
     in
     let totals = Trace_io.sum_kv node_stats in
     let expected_per_node =
-      match profile.Profile.app with
-      | Profile.Kv when not config.node.Node.chaos_workload ->
-          profile.Profile.clients * profile.Profile.requests
-      | _ ->
-          if config.node.Node.chaos_workload then profile.Profile.count
-          else profile.Profile.count * n
+      Ics_core.Schedule.(expected (kind ~chaos:config.node.Node.chaos_workload profile))
+        profile
     in
     let outcome =
       {

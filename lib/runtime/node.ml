@@ -7,8 +7,8 @@ module Retransmit = Ics_net.Retransmit
 module Model = Ics_net.Model
 module Failure_detector = Ics_fd.Failure_detector
 module Stack = Ics_core.Stack
-module Abcast = Ics_core.Abcast
 module Profile = Ics_core.Profile
+module Schedule = Ics_core.Schedule
 module Nemesis = Ics_faults.Nemesis
 module Codec = Ics_codec.Codec
 module Prim = Ics_codec.Prim
@@ -41,6 +41,7 @@ type config = {
   chaos_workload : bool;
       (** replicate the chaos sweep's round-robin schedule instead of the
           every-node-broadcasts-[count] workload *)
+  ramp_ms : float;  (** closed-loop sessions start staggered over this *)
 }
 
 let default_workload =
@@ -52,6 +53,7 @@ let default_workload =
     plan_seed = 1L;
     retransmit = true;
     chaos_workload = false;
+    ramp_ms = 200.0;
   }
 
 type result = {
@@ -69,49 +71,6 @@ type result = {
 let result_kv r =
   List.map (fun (k, v) -> ("fault." ^ k, v)) r.faults
   @ List.map (fun (k, v) -> ("retx." ^ k, v)) r.retx
-
-(* The chaos sweep's workload, replayed from the cell seed: every node
-   computes the same round-robin schedule (the RNG is drawn for every slot
-   whether or not it is ours) and fires only the slots it originates.
-   With an app hosted, slot [i] carries command (client = i, req = 0) in
-   its blob — one Create per one-request client, since this open-loop
-   schedule cannot promise per-client FIFO delivery (see App_host).  The
-   machine rides the exact same broadcasts, so the sweep's pinned
-   fingerprints only gain app events, and a cell where commands never
-   take effect fails semantically. *)
-let schedule_chaos engine config abcast =
-  let p = config.profile in
-  let app = match p.Profile.app with Profile.Kv -> true | Profile.No_app -> false in
-  let body_bytes =
-    if app then Ics_core.App_host.body_bytes p else p.Profile.body_bytes
-  in
-  let wrng = Rng.create (Int64.add config.seed 104729L) in
-  let at = ref 1.0 in
-  for i = 0 to p.Profile.count - 1 do
-    let t = !at in
-    if i mod p.Profile.n = config.self then begin
-      let blob = if app then Ics_app.Cmd.pack ~client:i ~req:0 else 0L in
-      Engine.schedule engine ~at:(p.Profile.warmup_ms +. t) (fun () ->
-          if app && Engine.is_alive engine config.self then
-            Engine.record engine config.self (Trace.App_submit (i, 0));
-          ignore
-            (Abcast.abroadcast ~blob abcast ~src:config.self ~body_bytes
-              : Ics_net.App_msg.t))
-    end;
-    at := t +. 2.0 +. Rng.float wrng 4.0
-  done
-
-let schedule_legacy engine config abcast =
-  let p = config.profile in
-  for k = 0 to p.Profile.count - 1 do
-    Engine.schedule engine
-      ~at:(p.Profile.warmup_ms +. (p.Profile.gap_ms *. float_of_int k))
-      (fun () ->
-        ignore
-          (Abcast.abroadcast abcast ~src:config.self
-             ~body_bytes:p.Profile.body_bytes
-            : Ics_net.App_msg.t))
-  done
 
 let run ~epoch ~listen ~peer_addrs config =
   let p = config.profile in
@@ -151,16 +110,8 @@ let run ~epoch ~listen ~peer_addrs config =
     Failure_detector.heartbeat transport ~period:p.Profile.hb_period_ms
       ~timeout:p.Profile.hb_timeout_ms
   in
-  let app_mode = match p.Profile.app with Profile.Kv -> true | Profile.No_app -> false in
-  (* Service mode: the closed-loop client plane generates the workload
-     and the barrier is semantic — every command applied here — instead
-     of a delivery count (retries make raw deliveries overshoot). *)
-  let service = app_mode && not config.chaos_workload in
-  let expected =
-    if service then p.Profile.clients * p.Profile.requests
-    else if config.chaos_workload then p.Profile.count
-    else p.Profile.count * n
-  in
+  let kind = Schedule.kind ~chaos:config.chaos_workload p in
+  let expected = Schedule.expected kind p in
   let delivered = ref 0 in
   let done_from = Array.make n false in
   let announced = ref false in
@@ -174,9 +125,11 @@ let run ~epoch ~listen ~peer_addrs config =
     end
   in
   let host = ref None in
+  (* Service mode's barrier is semantic — every command applied here —
+     instead of a delivery count (retries make raw deliveries overshoot). *)
   let barrier_reached () =
     match !host with
-    | Some h when service -> Ics_core.App_host.complete h
+    | Some h when kind = Schedule.Service -> Ics_core.App_host.complete h
     | _ -> !delivered >= expected
   in
   let on_deliver pid m =
@@ -187,23 +140,14 @@ let run ~epoch ~listen ~peer_addrs config =
     end
   in
   let abcast = Stack.assemble transport ~fd ~profile:p ~on_deliver in
-  if app_mode then begin
-    let mode =
-      if service then Ics_core.App_host.Service else Ics_core.App_host.Ride
-    in
-    let h =
-      Ics_core.App_host.install transport ~abcast ~profile:p ~self:config.self ~mode
-    in
-    host := Some h;
-    if service then
-      Ics_core.App_host.start h ~at:p.Profile.warmup_ms ~over_ms:200.0
-  end;
   Transport.register transport config.self ~layer:ctl (fun msg ->
       match msg.Message.payload with
       | Done _ -> done_from.(msg.Message.src) <- true
       | _ -> ());
-  if config.chaos_workload then schedule_chaos engine config abcast
-  else if not service then schedule_legacy engine config abcast;
+  host :=
+    List.assoc_opt config.self
+      (Schedule.start engine transport abcast p kind ~seed:config.seed
+         ~ramp_ms:config.ramp_ms ~srcs:[ config.self ]);
   let all_done () = !announced && Array.for_all Fun.id done_from in
   (* A plan-scheduled crash of our own pid is process death: leave the
      loop instead of idling to the deadline as a zombie. *)

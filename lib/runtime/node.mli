@@ -12,16 +12,16 @@
     ({!Ics_net.Retransmit.install}) outermost, so retries traverse the
     injected faults exactly as in the simulated chaos stack.
 
-    Termination: with the legacy workload each node A-broadcasts
-    [profile.count] messages ([gap_ms] apart, after [warmup_ms]) and
-    expects [count * n] deliveries; with [chaos_workload] the cluster
-    replays the chaos sweep's seeded round-robin schedule ([count] total
-    messages).  When a node has A-delivered everything it announces
-    [Done] on the ["ctl"] layer and exits once every peer has announced —
-    or at [deadline_ms], or when a plan clause crashes its own pid. *)
+    Workload: the node starts its own share of the
+    {!Ics_core.Schedule} the profile names — [count] fixed-gap
+    broadcasts, the chaos sweep's seeded round-robin slots
+    ([chaos_workload]), or the closed-loop sessions homed here when the
+    app is hosted.  When a node has everything {!Ics_core.Schedule.expected}
+    asks for, it announces [Done] on the ["ctl"] layer and exits once
+    every peer has announced — or at [deadline_ms], or when a plan clause
+    crashes its own pid. *)
 
 module Stack = Ics_core.Stack
-module Abcast = Ics_core.Abcast
 module Profile = Ics_core.Profile
 module Message = Ics_net.Message
 module Nemesis = Ics_faults.Nemesis
@@ -42,10 +42,12 @@ type config = {
   chaos_workload : bool;
       (** replicate the chaos sweep's round-robin schedule instead of the
           every-node-broadcasts-[count] workload *)
+  ramp_ms : float;  (** closed-loop sessions start staggered over this *)
 }
 
 val default_workload : config
-(** [Profile.default] shape and workload, no fault plan. *)
+(** [Profile.default] shape and workload, no fault plan, 200 ms session
+    ramp. *)
 
 type result = {
   delivered : int;  (** A-deliveries at this node *)

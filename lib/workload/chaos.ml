@@ -1,25 +1,15 @@
-module Engine = Ics_sim.Engine
-module Time = Ics_sim.Time
-module Pid = Ics_sim.Pid
 module Rng = Ics_prelude.Rng
 module Table = Ics_prelude.Table
-module Model = Ics_net.Model
-module Retransmit = Ics_net.Retransmit
-module Host = Ics_net.Host
 module Nemesis = Ics_faults.Nemesis
 module Stack = Ics_core.Stack
 module Abcast = Ics_core.Abcast
 module Profile = Ics_core.Profile
-module App_host = Ics_core.App_host
-module Cmd = Ics_app.Cmd
 module Checker = Ics_checker.Checker
 module Node = Ics_runtime.Node
-module Cluster = Ics_runtime.Cluster
 
 type backend = [ `Sim | `Live ]
 
 let backend_name = function `Sim -> "sim" | `Live -> "live"
-let live_supported () = Cluster.supported ()
 
 type stack_kind = Ct_indirect | Mr_indirect | Ct_on_ids
 
@@ -141,8 +131,6 @@ type result = {
   plan : Nemesis.plan;
   verdict : Checker.verdict;
   quiescent : bool;
-  delivered : int;
-  blocked : int;
   faults : (string * int) list;
   retx : (string * int) list;
   fingerprint : string;
@@ -150,7 +138,6 @@ type result = {
 
 let passed r = Checker.ok r.verdict && r.quiescent
 
-let horizon = 5_000.0
 let messages = 10
 
 (* The (algorithm, ordering) pair a stack kind names — shared by both
@@ -160,201 +147,72 @@ let stack_shape = function
   | Mr_indirect -> (Stack.Mr, Abcast.Indirect_consensus)
   | Ct_on_ids -> (Stack.Ct, Abcast.Consensus_on_ids)
 
-(* App-on-top cells host the KV machine on the exact same chaos
-   broadcasts (Ride mode: slot i = one-request client i), so a cell where
-   ordered commands never take effect fails *semantically* — via
-   app.progress and state-hash agreement — not just via the message-level
-   battery.  The app fields are cell constants, identical on both
-   backends, so a (stack, plan, seed) cell means the same run either
-   way. *)
-let app_seed = 42
-let app_hash_every = 4
+(* Plan timelines are authored for 1 ms links and a 10 ms detector. *)
+let sim_net = { Point.setup = Stack.Ideal_lan { delay = 1.0; jitter = 0.0 }; oracle_ms = 10.0 }
 
-let run_one_sim ?(batching = Abcast.no_batching) ?(app = false) ~retransmit ?n
-    stack plan_kind ~seed =
-  let n = match n with Some n -> n | None -> default_n stack in
-  let plan = gen_plan plan_kind ~n ~seed in
-  let engine = Engine.create ~seed ~trace:`On ~n () in
-  let base =
-    Model.constant ~delay:1.0 ~n ~seed:(Int64.add seed 7919L) ()
-  in
-  let lossy, fstats =
-    Nemesis.apply ~engine ~seed:(Int64.add seed 0x5DEECE66DL) ~plan ~base ()
-  in
-  let model, rstats =
-    if retransmit then
-      let m, s = Retransmit.wrap lossy in
-      (m, Some s)
-    else (lossy, None)
-  in
+(* One cell as a point.  App-on-top cells host the KV machine on the
+   exact same chaos broadcasts (Ride mode: slot i = one-request client
+   i), so a cell where ordered commands never take effect fails
+   *semantically* — via app.progress and state-hash agreement — not just
+   via the message-level battery.  The app fields are cell constants,
+   identical on both backends, so a (stack, plan, seed) cell means the
+   same run either way.  Live cells replay the sim timeline past the
+   connection warm-up; the deadline bounds a cell that can never reach
+   its barrier (blackout, storm) to a couple of wall-clock seconds. *)
+let cell ~backend ~batching ~app ~retransmit ~n stack ~plan ~seed =
   let algo, ordering = stack_shape stack in
-  let config =
+  let profile =
     {
-      Stack.default_config with
-      n;
-      seed;
+      Profile.default with
+      Profile.n;
       algo;
       ordering;
-      batching;
-      setup =
-        Stack.Custom
-          { name = "chaos"; build = (fun ~n:_ -> (model, Host.instant)) };
-      fd_kind = Stack.Oracle 10.0;
-      trace = `On;
+      batch = batching.Abcast.batch;
+      pipeline = batching.Abcast.pipeline;
+      flush_ms = batching.Abcast.flush_ms;
+      app = (if app then Profile.Kv else Profile.No_app);
+      app_seed = 42;
+      hash_every = 4;
+      count = messages;
+      body_bytes = 32;
     }
   in
-  let hosts = ref [||] in
-  let on_deliver p m =
-    if Array.length !hosts > 0 then App_host.on_deliver !hosts.(p) m
+  let backend, profile =
+    match backend with
+    | `Sim -> (Point.Sim sim_net, { profile with Profile.warmup_ms = 0.0; deadline_ms = 5_000.0 })
+    | `Live -> (Point.Live, Point.live ~run_ms:2_100.0 profile)
   in
-  let stack_t = Stack.create ~engine ~on_deliver config in
-  if app then begin
-    let profile =
-      {
-        (Stack.profile config) with
-        Profile.app = Profile.Kv;
-        app_seed;
-        hash_every = app_hash_every;
-        count = messages;
-        body_bytes = 32;
-      }
-    in
-    hosts :=
-      Array.init n (fun p ->
-          App_host.install stack_t.Stack.transport ~abcast:stack_t.Stack.abcast
-            ~profile ~self:p ~mode:App_host.Ride)
-  end;
-  (* Deterministic workload: [messages] abroadcasts, origin 0 first (the
-     blackout victim must originate), then round-robin at seeded spacing.
-     With the app hosted, slot [i] carries command (client = i, req = 0)
-     in its blob — the broadcasts themselves are unchanged. *)
-  let wrng = Rng.create (Int64.add seed 104729L) in
-  let at = ref 1.0 in
-  for i = 0 to messages - 1 do
-    let t = !at in
-    let src = i mod n in
-    let blob = if app then Cmd.pack ~client:i ~req:0 else 0L in
-    Engine.schedule engine ~at:t (fun () ->
-        if app && Engine.is_alive engine src then
-          Engine.record engine src (Ics_sim.Trace.App_submit (i, 0));
-        ignore (Stack.abroadcast ~blob stack_t ~src ~body_bytes:32));
-    at := t +. 2.0 +. Rng.float wrng 4.0
-  done;
-  Stack.run ~until:horizon stack_t;
-  let quiescent = Engine.pending engine = 0 in
-  let trace = Engine.trace engine in
-  let run = Checker.Run.of_trace trace ~n in
-  let verdict =
-    if app then
-      Checker.merge [ Checker.check_all_abcast run; Checker.check_app run ]
-    else Checker.check_all_abcast run
-  in
-  let correct = Checker.Run.correct run in
-  let delivered =
-    List.fold_left
-      (fun acc p ->
-        acc + List.length (Abcast.delivered_sequence stack_t.Stack.abcast p))
-      0 correct
-  in
-  let blocked =
-    List.length
-      (List.filter
-         (fun p -> Abcast.blocked_head stack_t.Stack.abcast p <> None)
-         correct)
-  in
-  let fingerprint =
-    Digest.to_hex (Digest.string (Format.asprintf "%a" Ics_sim.Trace.pp trace))
-  in
+  ( backend,
+    {
+      Node.default_workload with
+      Node.profile;
+      seed;
+      plan;
+      plan_seed = Int64.add seed 0x5DEECE66DL;
+      retransmit;
+      chaos_workload = true;
+    } )
+
+let run_one ?(backend = `Sim) ?(batching = Abcast.no_batching) ?(app = false)
+    ?(retransmit = true) ?n stack plan_kind ~seed =
+  let n = match n with Some n -> n | None -> default_n stack in
+  let plan = gen_plan plan_kind ~n ~seed in
+  let point, node = cell ~backend ~batching ~app ~retransmit ~n stack ~plan ~seed in
+  let o = Point.run point node in
   {
-    backend = `Sim;
+    backend;
     stack;
     plan_kind;
     n;
     seed;
     retransmit;
     plan;
-    verdict;
-    quiescent;
-    delivered;
-    blocked;
-    faults = Model.Fault_stats.to_list fstats;
-    retx =
-      (match rstats with Some s -> Retransmit.stats_to_list s | None -> []);
-    fingerprint;
+    verdict = o.Point.verdict;
+    quiescent = o.Point.quiescent;
+    faults = o.Point.faults;
+    retx = o.Point.retx;
+    fingerprint = Point.fingerprint o;
   }
-
-(* Live cells reuse the sim plan timeline (fault windows in the first few
-   tens of ms) shifted past connection warm-up by Node.run itself; the
-   deadline bounds a cell that can never reach its barrier (blackout,
-   storm) to a couple of wall-clock seconds. *)
-let live_warmup_ms = 400.0
-let live_deadline_ms = 2_500.0
-
-let live_profile ?(batching = Abcast.no_batching) ?(app = false) stack ~n =
-  let algo, ordering = stack_shape stack in
-  {
-    Profile.default with
-    Profile.n;
-    algo;
-    ordering;
-    batch = batching.Abcast.batch;
-    pipeline = batching.Abcast.pipeline;
-    flush_ms = batching.Abcast.flush_ms;
-    app = (if app then Profile.Kv else Profile.No_app);
-    app_seed;
-    hash_every = app_hash_every;
-    count = messages;
-    body_bytes = 32;
-    warmup_ms = live_warmup_ms;
-    deadline_ms = live_deadline_ms;
-  }
-
-let run_one_live ?batching ?(app = false) ~retransmit ?n stack plan_kind ~seed =
-  let n = match n with Some n -> n | None -> default_n stack in
-  let plan = gen_plan plan_kind ~n ~seed in
-  let node =
-    {
-      Node.default_workload with
-      Node.profile = live_profile ?batching ~app stack ~n;
-      seed;
-      plan;
-      plan_seed = Int64.add seed 0x5DEECE66DL;
-      retransmit;
-      chaos_workload = true;
-    }
-  in
-  match
-    Cluster.run { Cluster.default with Cluster.node; check = `All }
-  with
-  | Error reason -> failwith ("chaos live backend: " ^ reason)
-  | Ok o ->
-      (* The live analogue of a drained event queue: every node exited on
-         its own (barrier or deadline), none died or had to be killed. *)
-      let quiescent =
-        Array.for_all (fun c -> c = 0 || c = 10) o.Cluster.exits
-      in
-      {
-        backend = `Live;
-        stack;
-        plan_kind;
-        n;
-        seed;
-        retransmit;
-        plan;
-        verdict = o.Cluster.verdict;
-        quiescent;
-        delivered = Array.fold_left ( + ) 0 o.Cluster.delivered_per_node;
-        blocked = 0;
-        faults = o.Cluster.faults;
-        retx = o.Cluster.retx;
-        fingerprint = "";
-      }
-
-let run_one ?(backend = `Sim) ?batching ?app ?(retransmit = true) ?n stack
-    plan_kind ~seed =
-  match backend with
-  | `Sim -> run_one_sim ?batching ?app ~retransmit ?n stack plan_kind ~seed
-  | `Live -> run_one_live ?batching ?app ~retransmit ?n stack plan_kind ~seed
 
 let replay_hint r =
   Printf.sprintf
@@ -523,8 +381,8 @@ type mismatch = {
    fingerprint divergence is state leaking between runs or ambient
    nondeterminism, and means the replay commands the sweep prints are
    lies.  One seed per cell keeps this cheap enough for the smoke gate. *)
-let replay_check ?batching ?app ?(retransmit = true) ?n ?(seed_base = 1L)
-    ?(jobs = 1) ~stacks ~plans () =
+let replay_check ?(batching = Abcast.no_batching) ?(app = false) ?(retransmit = true) ?n
+    ?(seed_base = 1L) ?(jobs = 1) ~stacks ~plans () =
   let jobs = clamp_jobs ~backend:`Sim ~jobs in
   let cells =
     Array.of_list
@@ -533,22 +391,22 @@ let replay_check ?batching ?app ?(retransmit = true) ?n ?(seed_base = 1L)
          stacks)
   in
   let check (stack, plan_kind) =
-    let fp () =
-      (run_one ?batching ?app ?n ~retransmit stack plan_kind ~seed:seed_base)
-        .fingerprint
+    let n = match n with Some n -> n | None -> default_n stack in
+    let plan = gen_plan plan_kind ~n ~seed:seed_base in
+    let _, node =
+      cell ~backend:`Sim ~batching ~app ~retransmit ~n stack ~plan ~seed:seed_base
     in
-    let first = fp () in
-    let second = fp () in
-    if String.equal first second then None
-    else
-      Some
-        {
-          m_stack = stack;
-          m_plan = plan_kind;
-          m_seed = seed_base;
-          m_first = first;
-          m_second = second;
-        }
+    match Point.replay_check sim_net node with
+    | Ok _ -> None
+    | Error (first, second) ->
+        Some
+          {
+            m_stack = stack;
+            m_plan = plan_kind;
+            m_seed = seed_base;
+            m_first = first;
+            m_second = second;
+          }
   in
   if jobs > 1 then force_shared_state ();
   List.filter_map Fun.id

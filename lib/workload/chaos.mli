@@ -23,17 +23,12 @@
     the paper expressed as a fault plan — and must fail on real sockets
     exactly as it does in simulation). *)
 
-module Time = Ics_sim.Time
 module Nemesis = Ics_faults.Nemesis
 module Checker = Ics_checker.Checker
 
 type backend = [ `Sim | `Live ]
 
 val backend_name : backend -> string
-
-val live_supported : unit -> bool
-(** Whether the [`Live] backend can run here (loopback TCP available);
-    callers should skip, not fail, when it cannot. *)
 
 type stack_kind =
   | Ct_indirect  (** Chandra–Toueg, indirect consensus, n = 3 *)
@@ -73,8 +68,6 @@ type result = {
   plan : Nemesis.plan;
   verdict : Checker.verdict;
   quiescent : bool;  (** did the event queue drain before the horizon *)
-  delivered : int;  (** adeliveries summed over correct processes *)
-  blocked : int;  (** correct processes stuck on an undeliverable head *)
   faults : (string * int) list;  (** nemesis counters, {!Stack.fault_counters} format *)
   retx : (string * int) list;  (** retransmission-channel counters; [[]] without it *)
   fingerprint : string;  (** digest of the rendered trace — replay witness;
@@ -107,8 +100,10 @@ val run_one :
     (default true) heals the faulted wire —
     {!Ics_net.Retransmit.wrap} over the nemesis model in simulation, the
     acknowledged wire channel ({!Ics_net.Retransmit.install}) on live
-    nodes; [n] defaults per stack ({!default_n}).
-    @raise Failure on [`Live] when {!live_supported} is false. *)
+    nodes; [n] defaults per stack ({!default_n}).  Runs through
+    {!Point.run}.
+    @raise Failure on [`Live] when {!Ics_runtime.Cluster.supported} is
+    false. *)
 
 val replay_hint : result -> string
 (** The exact CLI invocation that reproduces this run. *)

@@ -1,287 +1,43 @@
-(* Offered-load saturation sweep: drive one stack shape at increasing
-   arrival rates and record throughput/latency at each point, on the
-   deterministic simulator and on the live loopback cluster.  The knee of
-   the resulting curve — the highest offered load the stack absorbs
-   without its latency tail or its backlog exploding — is the headline
-   number for the batching/pipelining/ring work (Ring Paxos's evaluation
-   methodology, applied to the indirect-consensus split). *)
+(* The knee of an offered-load curve: the highest offered load the stack
+   absorbs without its latency tail or its backlog exploding — the
+   headline number for the batching/pipelining/ring work (Ring Paxos's
+   evaluation methodology, applied to the indirect-consensus split).
+   Points come from Point.open_loop on either backend. *)
 
-module Engine = Ics_sim.Engine
 module Stats = Ics_prelude.Stats
-module Stack = Ics_core.Stack
-module Abcast = Ics_core.Abcast
-module Profile = Ics_core.Profile
-module Checker = Ics_checker.Checker
-module Node = Ics_runtime.Node
-module Cluster = Ics_runtime.Cluster
 
-type point = {
-  offered : float;  (** target arrival rate, msg/s cluster-wide *)
-  achieved : float;  (** distinct messages ordered per second *)
-  latency : Stats.summary;  (** abroadcast -> adelivery, ms *)
-  checker_ok : bool;  (** full battery on the (merged) trace *)
-  clean : bool;
-      (** sim: event queue drained; live: every node exited through the
-          delivery barrier (an overloaded point times out instead) *)
-  util : float;
-      (** busiest resource's utilization over the arrival window (sim
-          only; NaN on live, where the barrier timeout is the overload
-          signal instead) *)
-  delivered : int;  (** (message, process) delivery pairs observed *)
-}
+type point = { offered : float; outcome : Point.outcome }
 
-type curve = {
-  backend : [ `Sim | `Live ];
-  n : int;
-  batching : Abcast.batching;
-  broadcast : Profile.broadcast_kind;
-  points : point list;
-}
-
-(* The knee: the fastest point that is still healthy.  Both backends
-   eventually drain their whole backlog (the sim is open-loop; the live
-   cluster gets a drain window after the arrival window), so achieved
-   tracks offered even somewhat past capacity — the tail latency is the
-   honest signal: below the knee the stack delivers in
-   single-digit-to-tens of ms, past it p99 grows with the queue, so a
+(* Both backends eventually drain their whole backlog (the sim is
+   open-loop; the live cluster gets a drain window after the arrival
+   window), so achieved tracks offered even somewhat past capacity — the
+   tail latency is the honest signal: below the knee the stack delivers
+   in single-digit-to-tens of ms, past it p99 grows with the queue, so a
    fixed SLA bound separates serving from queueing.  The bound is set
    above the scheduling noise floor of an oversubscribed host: with n+1
    processes timesharing a core, a node's p99 includes waits of several
    scheduler quanta (tens of ms) even well below capacity, so a tighter
    bound would measure the host's scheduler rather than the stack's
-   queue.  Falls back to the fastest point overall when nothing is
-   healthy, so a degenerate sweep still reports. *)
+   queue. *)
 let p99_bound_ms = 100.0
 
 let healthy p =
-  p.checker_ok && p.clean
-  && (p.latency.Stats.count = 0 || p.latency.Stats.p99 <= p99_bound_ms)
+  let l = p.outcome.Point.latency in
+  Point.ok p.outcome && (l.Stats.count = 0 || l.Stats.p99 <= p99_bound_ms)
 
-let knee curve =
-  let healthy = List.filter healthy curve.points in
+(* The fastest healthy point; falls back to the fastest point overall
+   when nothing is healthy, so a degenerate sweep still reports. *)
+let knee points =
   let fastest = function
     | [] -> None
-    | ps ->
+    | p :: ps ->
         Some
           (List.fold_left
-             (fun best p -> if p.achieved > best.achieved then p else best)
-             (List.hd ps) ps)
+             (fun best p ->
+               if p.outcome.Point.throughput > best.outcome.Point.throughput then p
+               else best)
+             p ps)
   in
-  match fastest healthy with Some p -> Some p | None -> fastest curve.points
-
-(* ------------------------------------------------------------------ *)
-(* Simulated sweep.                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let sim_config ?(seed = 1L) ?(algo = Profile.Ct)
-    ?(ordering = Abcast.Indirect_consensus) ~n ~batching ~broadcast () =
-  {
-    Stack.default_config with
-    Stack.n;
-    seed;
-    algo;
-    ordering;
-    broadcast;
-    batching;
-    setup = Stack.Setup2;
-  }
-
-let sim_point ?(seed = 1L) ?(body_bytes = 32) ?(duration_ms = 4_000.0)
-    ~config offered =
-  let load =
-    {
-      Experiment.throughput = offered;
-      body_bytes;
-      duration = duration_ms;
-      warmup = Float.min 1_000.0 (duration_ms /. 4.0);
-    }
-  in
-  let r = Experiment.run ~check:true ~seed config load in
-  let n = config.Stack.n in
-  let window_s = (load.Experiment.duration -. load.Experiment.warmup) /. 1000.0 in
-  {
-    offered;
-    achieved = float_of_int (r.Experiment.measured / n) /. window_s;
-    latency = r.Experiment.latency;
-    checker_ok =
-      (match r.Experiment.verdict with
-      | Some v -> Checker.ok v
-      | None -> false);
-    clean = r.Experiment.quiescent;
-    util =
-      List.fold_left (fun m (_, u) -> Float.max m u) 0.0
-        r.Experiment.utilization;
-    delivered = r.Experiment.measured;
-  }
-
-let sim_curve ?seed ?algo ?ordering ?body_bytes ?duration_ms ~n ~batching
-    ~broadcast offered_loads =
-  let config = sim_config ?seed ?algo ?ordering ~n ~batching ~broadcast () in
-  {
-    backend = `Sim;
-    n;
-    batching;
-    broadcast;
-    points =
-      List.map (fun o -> sim_point ?seed ?body_bytes ?duration_ms ~config o)
-        offered_loads;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Live sweep.                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let live_supported = Cluster.supported
-
-(* A fixed arrival window: each node broadcasts its share of [offered]
-   at even gaps for [duration_ms], then the cluster drains to the
-   delivery barrier (or times out, which marks the point un-clean). *)
-let live_profile ?(algo = Profile.Ct) ?(ordering = Abcast.Indirect_consensus)
-    ?(body_bytes = 32) ~n ~batching ~broadcast ~duration_ms ~drain_ms offered =
-  let per_node = offered /. float_of_int n in
-  let gap_ms = 1000.0 /. per_node in
-  let count =
-    int_of_float (Float.round (offered *. duration_ms /. 1000.0 /. float_of_int n))
-  in
-  let warmup_ms = 400.0 in
-  {
-    Profile.default with
-    Profile.n;
-    algo;
-    ordering;
-    broadcast;
-    (* A saturation point injects no faults, so the failure detector's
-       only job is crash liveness — but at saturation on an
-       oversubscribed host, scheduler stalls routinely exceed the
-       chaos-tuned 120 ms and a false suspicion triggers a round-change
-       storm that measures the detector, not the stack.  Suspect only
-       after a genuinely dead interval. *)
-    hb_timeout_ms = 2_000.0;
-    batch = batching.Abcast.batch;
-    pipeline = batching.Abcast.pipeline;
-    flush_ms = batching.Abcast.flush_ms;
-    count = max 1 count;
-    body_bytes;
-    gap_ms;
-    warmup_ms;
-    deadline_ms = warmup_ms +. duration_ms +. drain_ms;
-  }
-
-(* The drain window is deliberately generous: the barrier exits as soon
-   as delivery completes, so the deadline only binds for points past the
-   knee — and those must still drain to a checker-clean trace rather
-   than be killed mid-protocol, or the sweep reports truncation noise
-   instead of overload.
-
-   [attempts]: a live point measures *capacity*, and on an
-   oversubscribed host a single co-tenant burst during a one-second
-   arrival window inflates p99 by an order of magnitude — noise, not
-   queueing.  Best-of-k (stop at the first healthy attempt, else keep
-   the attempt with the lowest p99) approximates the uncontended
-   machine; every attempt still runs the full checker battery, so
-   robustness never trades against correctness. *)
-let live_point ?(seed = 1L) ?algo ?ordering ?body_bytes
-    ?(duration_ms = 2_000.0) ?(drain_ms = 10_000.0) ?(attempts = 1) ~n
-    ~batching ~broadcast offered =
-  let profile =
-    live_profile ?algo ?ordering ?body_bytes ~n ~batching ~broadcast
-      ~duration_ms ~drain_ms offered
-  in
-  let node = { Node.default_workload with Node.profile; seed } in
-  let once () =
-    match Cluster.run { Cluster.default with Cluster.node; check = `All } with
-    | Error reason -> Error reason
-    | Ok o ->
-        let latency =
-          match o.Cluster.latency with
-          | None -> Stats.empty_summary
-          | Some l ->
-              {
-                Stats.empty_summary with
-                Stats.count = l.Cluster.samples;
-                mean = l.Cluster.mean_ms;
-                p50 = l.Cluster.p50_ms;
-                p95 = l.Cluster.p95_ms;
-                p99 = l.Cluster.p99_ms;
-                max = l.Cluster.max_ms;
-              }
-        in
-        Ok
-          {
-            offered;
-            achieved = o.Cluster.throughput_msg_s;
-            latency;
-            checker_ok = Checker.ok o.Cluster.verdict;
-            clean = Cluster.ok o;
-            util = Float.nan;
-            delivered = Array.fold_left ( + ) 0 o.Cluster.delivered_per_node;
-          }
-  in
-  let better a b =
-    (* checker-clean beats dirty regardless of speed; then lower p99. *)
-    match (a.checker_ok && a.clean, b.checker_ok && b.clean) with
-    | true, false -> a
-    | false, true -> b
-    | _ -> if a.latency.Stats.p99 <= b.latency.Stats.p99 then a else b
-  in
-  let rec go k best =
-    if k >= attempts then Ok best
-    else
-      match once () with
-      | Error _ -> Ok best (* environment flaked mid-sweep; keep what ran *)
-      | Ok p ->
-          let best = better p best in
-          if healthy best then Ok best else go (k + 1) best
-  in
-  match once () with
-  | Error reason -> Error reason
-  | Ok p -> if healthy p then Ok p else go 1 p
-
-let live_curve ?seed ?algo ?ordering ?body_bytes ?duration_ms ?drain_ms
-    ?attempts ~n ~batching ~broadcast offered_loads =
-  let points =
-    List.filter_map
-      (fun o ->
-        match
-          live_point ?seed ?algo ?ordering ?body_bytes ?duration_ms ?drain_ms
-            ?attempts ~n ~batching ~broadcast o
-        with
-        | Ok p -> Some p
-        | Error _ -> None)
-      offered_loads
-  in
-  { backend = `Live; n; batching; broadcast; points }
-
-(* ------------------------------------------------------------------ *)
-(* Determinism gate for the smoke target.                             *)
-(* ------------------------------------------------------------------ *)
-
-(* Two sim runs of the same saturation cell must produce bit-identical
-   traces — the same replay discipline the chaos sweep enforces, applied
-   to the batched/pipelined/ring configuration. *)
-let sim_fingerprint ?(seed = 11L) ?algo ?ordering ?(offered = 400.0)
-    ?(duration_ms = 1_000.0) ~n ~batching ~broadcast () =
-  let config = sim_config ~seed ?algo ?ordering ~n ~batching ~broadcast () in
-  let config = { config with Stack.trace = `On } in
-  let stack = Stack.create config in
-  let engine = stack.Stack.engine in
-  let gap = 1000.0 /. (offered /. float_of_int n) in
-  let per_node = int_of_float (Float.round (duration_ms /. gap)) in
-  for k = 0 to (per_node * n) - 1 do
-    Engine.schedule engine
-      ~at:(10.0 +. (gap *. float_of_int (k / n)))
-      (fun () -> ignore (Stack.abroadcast stack ~src:(k mod n) ~body_bytes:32))
-  done;
-  Stack.run ~until:(duration_ms +. 10_000.0) stack;
-  Digest.to_hex
-    (Digest.string (Format.asprintf "%a" Ics_sim.Trace.pp (Engine.trace engine)))
-
-let replay_check ?seed ?algo ?ordering ?offered ?duration_ms ~n ~batching
-    ~broadcast () =
-  let fp () =
-    sim_fingerprint ?seed ?algo ?ordering ?offered ?duration_ms ~n ~batching
-      ~broadcast ()
-  in
-  let first = fp () in
-  let second = fp () in
-  if String.equal first second then Ok first else Error (first, second)
+  match fastest (List.filter healthy points) with
+  | Some p -> Some p
+  | None -> fastest points

@@ -1,155 +1,27 @@
-(** Offered-load saturation sweep: the knee-curve bench behind
-    BENCH_PR6.json and [make saturation-smoke].
+(** Knee policy for offered-load saturation curves ([ics_cli bench],
+    [make saturation-smoke]).
 
-    One {!point} is one run of a fixed stack shape at one offered load,
-    with the full checker battery on (every point is correctness-gated,
-    not just timed).  A {!curve} is a sweep of points over increasing
-    offered loads on one backend; {!knee} picks the fastest point that
-    is still healthy — checker-green and finished cleanly — which is the
-    saturation throughput the bench reports.
-
-    Sim points run the Poisson open-loop {!Experiment} on Setup 2; live
-    points run a real loopback {!Ics_runtime.Cluster} with a fixed-rate
-    arrival window derived from the offered load ([gap_ms = n/offered],
-    [count = offered * window / n] per node). *)
-
-module Stats = Ics_prelude.Stats
-module Stack = Ics_core.Stack
-module Abcast = Ics_core.Abcast
-module Profile = Ics_core.Profile
+    A curve is a list of {!point}s — one {!Point.open_loop} run per
+    offered load, every one checker-gated.  {!knee} picks the fastest
+    point that is still healthy, which is the saturation throughput a
+    sweep reports. *)
 
 type point = {
   offered : float;  (** target arrival rate, msg/s cluster-wide *)
-  achieved : float;  (** distinct messages ordered per second *)
-  latency : Stats.summary;  (** abroadcast -> adelivery, ms *)
-  checker_ok : bool;  (** full battery on the (merged) trace *)
-  clean : bool;
-      (** sim: event queue drained; live: every node exited through the
-          delivery barrier (an overloaded point times out instead) *)
-  util : float;
-      (** busiest resource's utilization over the arrival window (sim
-          only; NaN on live, where the barrier timeout is the overload
-          signal instead) *)
-  delivered : int;  (** (message, process) delivery pairs observed *)
-}
-
-type curve = {
-  backend : [ `Sim | `Live ];
-  n : int;
-  batching : Abcast.batching;
-  broadcast : Profile.broadcast_kind;
-  points : point list;
+  outcome : Point.outcome;
 }
 
 val p99_bound_ms : float
-(** p99 latency above which a sim point counts as saturated (50 ms) —
-    the open-loop simulator drains its backlog, so achieved throughput
-    tracks offered load even past capacity and the latency tail is the
-    honest overload signal (live points are gated by the delivery
-    barrier instead). *)
+(** p99 latency above which a point counts as saturated (100 ms) — both
+    backends drain their backlog, so achieved throughput tracks offered
+    load even past capacity and the latency tail is the honest overload
+    signal. *)
 
 val healthy : point -> bool
-(** [checker_ok && clean], and on sim points [p99 <= p99_bound_ms]. *)
+(** {!Point.ok} (checker green, every node finished) and
+    [p99 <= p99_bound_ms] (or no latency samples at all). *)
 
-val knee : curve -> point option
-(** The fastest {!healthy} point; falls back to the fastest point
-    overall when no point is healthy, [None] on an empty curve. *)
-
-val sim_config :
-  ?seed:int64 ->
-  ?algo:Profile.algo ->
-  ?ordering:Abcast.ordering ->
-  n:int ->
-  batching:Abcast.batching ->
-  broadcast:Profile.broadcast_kind ->
-  unit ->
-  Stack.config
-(** Setup 2 (1 Gb/s switched, P4 hosts) stack config for the sweep. *)
-
-val sim_point :
-  ?seed:int64 ->
-  ?body_bytes:int ->
-  ?duration_ms:float ->
-  config:Stack.config ->
-  float ->
-  point
-(** One simulated point at the given offered load (msg/s). *)
-
-val sim_curve :
-  ?seed:int64 ->
-  ?algo:Profile.algo ->
-  ?ordering:Abcast.ordering ->
-  ?body_bytes:int ->
-  ?duration_ms:float ->
-  n:int ->
-  batching:Abcast.batching ->
-  broadcast:Profile.broadcast_kind ->
-  float list ->
-  curve
-
-val live_supported : unit -> bool
-(** Whether this environment can run loopback TCP clusters. *)
-
-val live_point :
-  ?seed:int64 ->
-  ?algo:Profile.algo ->
-  ?ordering:Abcast.ordering ->
-  ?body_bytes:int ->
-  ?duration_ms:float ->
-  ?drain_ms:float ->
-  ?attempts:int ->
-  n:int ->
-  batching:Abcast.batching ->
-  broadcast:Profile.broadcast_kind ->
-  float ->
-  (point, string) result
-(** One live cluster point.  [Error reason] only when the environment
-    cannot run sockets; an overloaded run surfaces as [clean = false].
-    [attempts] (default 1) reruns an unhealthy point and keeps the best
-    attempt — capacity measurement on a shared host, where one co-tenant
-    burst can wreck a one-second window; every attempt is still gated by
-    the full checker battery. *)
-
-val live_curve :
-  ?seed:int64 ->
-  ?algo:Profile.algo ->
-  ?ordering:Abcast.ordering ->
-  ?body_bytes:int ->
-  ?duration_ms:float ->
-  ?drain_ms:float ->
-  ?attempts:int ->
-  n:int ->
-  batching:Abcast.batching ->
-  broadcast:Profile.broadcast_kind ->
-  float list ->
-  curve
-(** Points whose environment probe failed are dropped, so the curve may
-    be empty in socketless sandboxes. *)
-
-val sim_fingerprint :
-  ?seed:int64 ->
-  ?algo:Profile.algo ->
-  ?ordering:Abcast.ordering ->
-  ?offered:float ->
-  ?duration_ms:float ->
-  n:int ->
-  batching:Abcast.batching ->
-  broadcast:Profile.broadcast_kind ->
-  unit ->
-  string
-(** Digest of the full event trace of one deterministic fixed-rate sim
-    run of the saturation cell — the replay-check fingerprint. *)
-
-val replay_check :
-  ?seed:int64 ->
-  ?algo:Profile.algo ->
-  ?ordering:Abcast.ordering ->
-  ?offered:float ->
-  ?duration_ms:float ->
-  n:int ->
-  batching:Abcast.batching ->
-  broadcast:Profile.broadcast_kind ->
-  unit ->
-  (string, string * string) result
-(** Run the cell twice; [Ok fingerprint] iff both traces are
-    bit-identical ([Error (first, second)] otherwise). *)
+val knee : point list -> point option
+(** The fastest {!healthy} point by achieved throughput; falls back to
+    the fastest point overall when no point is healthy, [None] on an
+    empty curve. *)

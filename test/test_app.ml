@@ -12,7 +12,7 @@ module Cluster = Ics_runtime.Cluster
 module Trace_io = Ics_runtime.Trace_io
 module Bq = Ics_runtime.Socket_transport.Bq
 module Trace = Ics_sim.Trace
-module Service = Ics_workload.Service
+module Point = Ics_workload.Point
 module Chaos = Ics_workload.Chaos
 module Stats = Ics_prelude.Stats
 
@@ -125,30 +125,41 @@ let test_machine_conservation () =
 (* Closed-loop service on the simulator.                              *)
 (* ------------------------------------------------------------------ *)
 
+let sim = Point.Sim Point.lan
+
+let sim_point ?seed ?batching ~n ~clients ~requests () =
+  Point.run sim (Point.service ?seed ?batching sim ~n ~clients ~requests)
+
 let test_sim_service_point () =
-  let p = Service.sim_point ~seed:3L ~n:3 ~clients:24 ~requests:3 () in
-  checkb "checker green (abcast + app battery)" true p.Service.checker_ok;
-  checkb "all sessions completed, all replicas caught up" true p.Service.clean;
-  checki "workload size" 72 p.Service.commands;
-  (match p.Service.hash with
+  let p = sim_point ~seed:3L ~n:3 ~clients:24 ~requests:3 () in
+  checkb "checker green (abcast + app battery)" true (Checker.ok p.Point.verdict);
+  checkb "all sessions completed, all replicas caught up" true p.Point.completed;
+  checki "workload size" 72 p.Point.expected;
+  (match p.Point.app_hash with
   | Some (cursor, _) -> checki "final cursor covers the workload" 72 cursor
   | None -> Alcotest.fail "no state hash recorded");
   checki "one client-visible sample per command" 72
-    p.Service.latency.Stats.count;
-  checkb "median latency positive" true (p.Service.latency.Stats.p50 > 0.0)
+    p.Point.app_latency.Stats.count;
+  checkb "median latency positive" true (p.Point.app_latency.Stats.p50 > 0.0)
 
 let test_sim_service_hash_stable () =
-  let p1 = Service.sim_point ~seed:9L ~n:3 ~clients:12 ~requests:4 () in
-  let p2 = Service.sim_point ~seed:9L ~n:3 ~clients:12 ~requests:4 () in
-  checkb "same seed, same final hash" true (Service.hash_match p1 p2);
-  let p3 = Service.sim_point ~seed:9L ~n:5 ~clients:12 ~requests:4 () in
+  let p1 = sim_point ~seed:9L ~n:3 ~clients:12 ~requests:4 () in
+  let p2 = sim_point ~seed:9L ~n:3 ~clients:12 ~requests:4 () in
+  checkb "same seed, same final hash" true (Point.hash_match p1 p2);
+  let p3 = sim_point ~seed:9L ~n:5 ~clients:12 ~requests:4 () in
   checkb "different n still converges to the same state" true
-    (match (p1.Service.hash, p3.Service.hash) with
+    (match (p1.Point.app_hash, p3.Point.app_hash) with
     | Some (_, h1), Some (_, h3) -> Int64.equal h1 h3
     | _ -> false)
 
+(* The service replay cell: small, seed 11, a state hash every 16
+   applies, sessions ramped over 200 ms, 60 s horizon. *)
 let test_sim_service_replay () =
-  match Service.replay_check ~n:3 ~clients:12 ~requests:3 () with
+  let cell =
+    Point.service ~seed:11L ~hash_every:16 ~ramp_ms:200.0 ~horizon_ms:60_000.0 sim
+      ~n:3 ~clients:12 ~requests:3
+  in
+  match Point.replay_check Point.lan cell with
   | Ok fp ->
       checks "service replay fingerprint pinned"
         "469da23e6c2953cd6ac53e781472b53e" fp
@@ -161,12 +172,9 @@ let test_sim_service_replay () =
    only, so it pins both the ordering layer and the machine. *)
 let test_sim_service_10k_hash_pinned () =
   let batching = { Ics_core.Abcast.batch = 256; pipeline = 8; flush_ms = 1.0 } in
-  let p =
-    Service.sim_point ~seed:1L ~batching ~n:3 ~clients:10_000 ~requests:1 ()
-  in
-  checkb "checker green and complete" true
-    (p.Service.checker_ok && p.Service.clean);
-  match p.Service.hash with
+  let p = sim_point ~seed:1L ~batching ~n:3 ~clients:10_000 ~requests:1 () in
+  checkb "checker green and complete" true (Point.ok p);
+  match p.Point.app_hash with
   | Some (cursor, h) ->
       checki "cursor" 10_000 cursor;
       checks "state hash" "95ead26e6c8b5b63" (Printf.sprintf "%Lx" h)

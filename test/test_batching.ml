@@ -9,7 +9,7 @@ module Stack = Ics_core.Stack
 module Abcast = Ics_core.Abcast
 module Checker = Ics_checker.Checker
 module Chaos = Ics_workload.Chaos
-module Saturation = Ics_workload.Saturation
+module Point = Ics_workload.Point
 module Profile = Ics_core.Profile
 
 let checkb = Alcotest.(check bool)
@@ -63,9 +63,22 @@ let test_batched_chaos_green () =
    the digest is pinned, so the cell cannot drift between releases
    either. *)
 let test_batched_replay_deterministic () =
+  let sim = Point.Sim Point.lan in
+  let shape =
+    {
+      Profile.default with
+      Profile.n = 3;
+      batch = batched.Abcast.batch;
+      pipeline = batched.Abcast.pipeline;
+      flush_ms = batched.Abcast.flush_ms;
+      broadcast = Profile.Ring;
+      body_bytes = 32;
+    }
+  in
+  let profile = Point.fixed_rate sim ~offered:200.0 ~duration_ms:400.0 shape in
   match
-    Saturation.replay_check ~offered:200.0 ~duration_ms:400.0 ~n:3
-      ~batching:batched ~broadcast:Profile.Ring ()
+    Point.replay_check Point.lan
+      { Ics_runtime.Node.default_workload with Ics_runtime.Node.profile; seed = 11L }
   with
   | Ok fp ->
       Alcotest.(check string) "batched replay fingerprint pinned"
