@@ -1,6 +1,6 @@
 # Convenience targets; `make verify` is the pre-merge gate.
 
-.PHONY: all build test bench perf chaos chaos-smoke jobs-smoke chaos-live-smoke cluster-smoke saturation-smoke service-smoke lint lint-report verify clean
+.PHONY: all build test bench chaos chaos-smoke jobs-smoke chaos-live-smoke cluster-smoke saturation-smoke service-smoke lint lint-report verify clean
 
 all: build
 
@@ -10,12 +10,16 @@ build:
 test:
 	dune runtest --force
 
-# Full benchmark sweep (~minutes); `perf` alone is the quick wall-clock check.
+# Live targets append this to their command: exit 2 means the sandbox
+# has no loopback sockets, which is a skip, not a failure.
+SKIP_NO_SOCKETS = rc=$$?; \
+	if [ $$rc -eq 2 ]; then echo "$@: skipped (no loopback sockets)"; \
+	elif [ $$rc -ne 0 ]; then exit $$rc; fi
+
+# Paper figures, ablations, fault tables and microbenchmarks (~minutes).
+# Wall-clock and per-layer numbers come from perfbench/ (BENCHMARK.json).
 bench:
 	dune exec bench/main.exe
-
-perf:
-	dune exec bench/main.exe -- perf quick
 
 # Full chaos sweep: 100 seeds x every stack x every fault plan (~a minute
 # single-threaded; cells run jobs-wide on OCaml 5 domains, bit-identical
@@ -38,43 +42,28 @@ jobs-smoke:
 # Chaos cells as forked loopback-TCP clusters: the seeded plans compiled
 # onto real sockets through the same interposer.  Includes the blackout
 # cell, so the S2.2 ct-on-ids counterexample must reproduce on the live
-# backend too (exit 2 = sandbox has no sockets = skip, not failure).
+# backend too.
 chaos-live-smoke:
-	dune exec bin/ics_cli.exe -- chaos --live --seeds 1 --stacks ct-indirect,ct-on-ids --plans drop,blackout; \
-	rc=$$?; \
-	if [ $$rc -eq 2 ]; then echo "chaos-live-smoke: skipped (no loopback sockets)"; \
-	elif [ $$rc -ne 0 ]; then exit $$rc; fi
+	dune exec bin/ics_cli.exe -- chaos --live --seeds 1 --stacks ct-indirect,ct-on-ids --plans drop,blackout; $(SKIP_NO_SOCKETS)
 
-# Live 3-node loopback cluster, checker-verified (exit 2 = sandbox has no
-# sockets, which is a skip, not a failure).
+# Live 3-node loopback cluster, checker-verified.
 cluster-smoke:
-	dune exec bin/ics_cli.exe -- cluster -n 3 --algo ct --broadcast flood --count 10 --timeout 20; \
-	rc=$$?; \
-	if [ $$rc -eq 2 ]; then echo "cluster-smoke: skipped (no loopback sockets)"; \
-	elif [ $$rc -ne 0 ]; then exit $$rc; fi
+	dune exec bin/ics_cli.exe -- cluster -n 3 --algo ct --broadcast flood --count 10 --timeout 20; $(SKIP_NO_SOCKETS)
 
 # Saturation knee smoke: a tiny offered-load sweep of the batched/
 # pipelined/ring stack, replay-checked for sim determinism with every
-# point gated by the full checker battery, then one live point (exit 2 =
-# sandbox has no sockets = skip, not failure).
+# point gated by the full checker battery, then one live point.
 saturation-smoke:
 	dune exec bin/ics_cli.exe -- bench --offered-load 200,400 --duration 0.5 --batch 8 --pipeline 2 --flush 1 --dissemination ring --n 5 --replay-check
-	dune exec bin/ics_cli.exe -- bench --live --offered-load 500 --duration 0.5 --batch 8 --pipeline 2 --flush 1 --dissemination ring --n 5; \
-	rc=$$?; \
-	if [ $$rc -eq 2 ]; then echo "saturation-smoke: live skipped (no loopback sockets)"; \
-	elif [ $$rc -ne 0 ]; then exit $$rc; fi
+	dune exec bin/ics_cli.exe -- bench --live --offered-load 500 --duration 0.5 --batch 8 --pipeline 2 --flush 1 --dissemination ring --n 5; $(SKIP_NO_SOCKETS)
 
 # Closed-loop service smoke: a few hundred KV/ledger client sessions
 # through the full stack, replay-checked for sim determinism and gated by
 # the abcast + application checker batteries; the live point must land on
-# the simulator's final state hash bit-for-bit (exit 2 = sandbox has no
-# sockets = the live half is skipped, not failed).
+# the simulator's final state hash bit-for-bit.
 service-smoke:
 	dune exec bin/ics_cli.exe -- service --clients 200 --requests 3 --replay-check
-	dune exec bin/ics_cli.exe -- service --clients 200 --requests 3 --live; \
-	rc=$$?; \
-	if [ $$rc -eq 2 ]; then echo "service-smoke: live skipped (no loopback sockets)"; \
-	elif [ $$rc -ne 0 ]; then exit $$rc; fi
+	dune exec bin/ics_cli.exe -- service --clients 200 --requests 3 --live; $(SKIP_NO_SOCKETS)
 
 # Determinism & protocol-safety linter over lib/, bin/ and examples/
 # (exit 0 clean, 1 findings, 2 internal error).
@@ -88,7 +77,7 @@ lint-report:
 	dune exec bin/ics_lint.exe -- --root . --format sarif > _build/lint.sarif; \
 	rc=$$?; echo "lint-report: _build/lint.sarif"; exit $$rc
 
-verify: build test lint lint-report perf chaos-smoke jobs-smoke chaos-live-smoke cluster-smoke saturation-smoke service-smoke
+verify: build test lint lint-report chaos-smoke jobs-smoke chaos-live-smoke cluster-smoke saturation-smoke service-smoke
 
 clean:
 	dune clean

@@ -21,7 +21,6 @@
     every peer has announced — or at [deadline_ms], or when a plan clause
     crashes its own pid. *)
 
-module Stack = Ics_core.Stack
 module Profile = Ics_core.Profile
 module Message = Ics_net.Message
 module Nemesis = Ics_faults.Nemesis

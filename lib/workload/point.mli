@@ -70,12 +70,10 @@ val hash_match : outcome -> outcome -> bool
 (** Both points {!ok}, and both landed on the same state hash at the
     full cursor — the sim-vs-live agreement gate. *)
 
-val live_warmup_ms : float
-(** Time a live node spends dialling its peers before the workload. *)
-
 val live : run_ms:float -> Profile.t -> Profile.t
-(** The live timing of a profile: the workload starts after
-    {!live_warmup_ms} and the deadline is [run_ms] later. *)
+(** The live timing of a profile: the workload starts after a 400 ms
+    warm-up in which the nodes dial their peers, and the deadline is
+    [run_ms] later. *)
 
 val run : backend -> Node.config -> outcome
 (** One run.  [self] is ignored.  On [Sim] a non-empty plan wraps the
@@ -115,7 +113,7 @@ val service :
   Node.config
 (** The closed-loop service cell: [clients] sessions of [requests]
     KV/ledger commands each, 32 B bodies, app seed 42, state hash every
-    [hash_every] applies (default 1024), 500 ms client retry.  Sim
-    (Setup-2-shaped by the caller's {!sim}): sessions start at 10 ms,
-    staggered over [ramp_ms] (default 1 s), until [horizon_ms] (default
-    120 s).  Live: 200 ms ramp, 20 s deadline. *)
+    [hash_every] applies (default 1024), 500 ms client retry.  Sim:
+    sessions start at 10 ms, staggered over [ramp_ms] (default 1 s), and
+    the run stops at [horizon_ms] (default 120 s).  Live: a 200 ms ramp
+    and a 20 s deadline after the {!live} warm-up. *)
