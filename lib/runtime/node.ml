@@ -128,8 +128,8 @@ let run ~epoch ~listen ~peer_addrs config =
   (* Service mode's barrier is semantic — every command applied here —
      instead of a delivery count (retries make raw deliveries overshoot). *)
   let barrier_reached () =
-    match !host with
-    | Some h when kind = Schedule.Service -> Ics_core.App_host.complete h
+    match (kind, !host) with
+    | Schedule.Service, Some h -> Ics_core.App_host.complete h
     | _ -> !delivered >= expected
   in
   let on_deliver pid m =

@@ -159,7 +159,7 @@ let sim_net = { Point.setup = Stack.Ideal_lan { delay = 1.0; jitter = 0.0 }; ora
    same run either way.  Live cells replay the sim timeline past the
    connection warm-up; the deadline bounds a cell that can never reach
    its barrier (blackout, storm) to a couple of wall-clock seconds. *)
-let cell ~backend ~batching ~app ~retransmit ~n stack ~plan ~seed =
+let cell_point ~backend ~batching ~app ~retransmit ~n stack ~plan ~seed =
   let algo, ordering = stack_shape stack in
   let profile =
     {
@@ -197,7 +197,7 @@ let run_one ?(backend = `Sim) ?(batching = Abcast.no_batching) ?(app = false)
     ?(retransmit = true) ?n stack plan_kind ~seed =
   let n = match n with Some n -> n | None -> default_n stack in
   let plan = gen_plan plan_kind ~n ~seed in
-  let point, node = cell ~backend ~batching ~app ~retransmit ~n stack ~plan ~seed in
+  let point, node = cell_point ~backend ~batching ~app ~retransmit ~n stack ~plan ~seed in
   let o = Point.run point node in
   {
     backend;
@@ -394,7 +394,7 @@ let replay_check ?(batching = Abcast.no_batching) ?(app = false) ?(retransmit = 
     let n = match n with Some n -> n | None -> default_n stack in
     let plan = gen_plan plan_kind ~n ~seed:seed_base in
     let _, node =
-      cell ~backend:`Sim ~batching ~app ~retransmit ~n stack ~plan ~seed:seed_base
+      cell_point ~backend:`Sim ~batching ~app ~retransmit ~n stack ~plan ~seed:seed_base
     in
     match Point.replay_check sim_net node with
     | Ok _ -> None
