@@ -180,6 +180,22 @@ let test_sim_service_10k_hash_pinned () =
       checks "state hash" "95ead26e6c8b5b63" (Printf.sprintf "%Lx" h)
   | None -> Alcotest.fail "no state hash recorded"
 
+(* Twice the sim-service benchmark's size: 500 closed-loop clients x 40
+   requests at batch 64 / pipeline 4, seed 1 -- the point
+   `ics_cli service --clients 500 --requests 40 --batch 64 --pipeline 4`
+   prints.  It runs the full abcast + app battery over 20k commands. *)
+let test_sim_service_20k_commands_pinned () =
+  let batching = { Ics_core.Abcast.batch = 64; pipeline = 4; flush_ms = 1.0 } in
+  let p = sim_point ~seed:1L ~batching ~n:3 ~clients:500 ~requests:40 () in
+  checkb "checker green" true (Checker.ok p.Point.verdict);
+  checkb "all sessions completed, all replicas caught up" true p.Point.completed;
+  checki "workload size" 20_000 p.Point.expected;
+  match p.Point.app_hash with
+  | Some (cursor, h) ->
+      checki "cursor" 20_000 cursor;
+      checks "state hash" "78f251cad25ee33d" (Printf.sprintf "%Lx" h)
+  | None -> Alcotest.fail "no state hash recorded"
+
 (* ------------------------------------------------------------------ *)
 (* Chaos app-on-top axis.                                             *)
 (* ------------------------------------------------------------------ *)
@@ -377,6 +393,8 @@ let suites =
           test_sim_service_hash_stable;
         Alcotest.test_case "sim 10k-client state hash pinned" `Slow
           test_sim_service_10k_hash_pinned;
+        Alcotest.test_case "sim 20k-command service point pinned" `Slow
+          test_sim_service_20k_commands_pinned;
         Alcotest.test_case "sim replay bit-identical" `Quick
           test_sim_service_replay;
       ] );

@@ -306,6 +306,192 @@ let test_verdict_pp () =
   let clean = Checker.check_no_loss run in
   checkb "ok rendering" true (Test_util.contains (Format.asprintf "%a" Checker.pp_verdict clean) "OK")
 
+(* ------------------------------------------------------------------ *)
+(* The application battery: each test pins the full violation list     *)
+(* (property, culprit, detail) in report order.                        *)
+(* ------------------------------------------------------------------ *)
+
+let app_report run =
+  List.map
+    (fun (v : Checker.violation) -> (v.Checker.property, v.Checker.culprit, v.Checker.detail))
+    (Checker.check_app run).Checker.violations
+
+let check_app_report name expected run =
+  Alcotest.(check (list (triple string (option int) string))) name expected (app_report run)
+
+(* Submissions from each client's home replica, then every replica
+   applying the same order. *)
+let submit_apply_all ~n ~at cmds =
+  List.map (fun (home, (c, r)) -> (at, home, Trace.App_submit (c, r))) cmds
+  @ List.concat_map
+      (fun p -> List.map (fun (_, (c, r)) -> (at +. 1.0, p, Trace.App_applied (c, r))) cmds)
+      (List.init n (fun p -> p))
+
+let test_app_clean_multi_client () =
+  let cmds = [ (0, (0, 0)); (1, (1, 0)); (2, (2, 0)); (0, (0, 1)); (1, (1, 1)); (2, (2, 1)) ] in
+  let hashes =
+    List.concat_map
+      (fun p -> [ (3.0, p, Trace.App_hash (3, 0xabcL)); (4.0, p, Trace.App_hash (6, 0xdefL)) ])
+      [ 0; 1; 2 ]
+  in
+  let run = run_of (submit_apply_all ~n:3 ~at:1.0 cmds @ hashes) ~n:3 in
+  let v = Checker.check_app run in
+  Test_util.assert_clean_verdict "app" v;
+  Alcotest.(check (list string)) "checked"
+    [ "app.probes"; "app.dedup"; "app.order"; "app.hash-agreement"; "app.progress" ]
+    v.Checker.checked
+
+let test_app_probes_reported () =
+  let events =
+    [
+      (1.0, 2, Trace.App_violation "conservation: balances sum to 7, expected 8");
+      (2.0, 0, Trace.App_violation "gap: client 3 req 2 after req 0");
+    ]
+  in
+  check_app_report "probes in trace order"
+    [
+      ("app.probes", Some 2, "conservation: balances sum to 7, expected 8");
+      ("app.probes", Some 0, "gap: client 3 req 2 after req 0");
+    ]
+    (run_of events ~n:3)
+
+let test_app_dedup_reported () =
+  let events =
+    submit_apply_all ~n:3 ~at:1.0 [ (0, (0, 0)); (1, (1, 0)) ]
+    @ [ (5.0, 1, Trace.App_applied (0, 0)); (6.0, 2, Trace.App_applied (1, 0)) ]
+  in
+  check_app_report "one dedup per replayed effect"
+    [
+      ("app.dedup", Some 1, "client 0 req 0 took effect twice");
+      ("app.dedup", Some 2, "client 1 req 0 took effect twice");
+    ]
+    (run_of events ~n:3)
+
+let test_app_order_reported () =
+  let cmds = [ (0, (0, 0)); (0, (0, 1)); (0, (0, 2)) ] in
+  let events =
+    List.map (fun (home, (c, r)) -> (1.0, home, Trace.App_submit (c, r))) cmds
+    @ List.concat_map
+        (fun p -> List.map (fun (_, (c, r)) -> (2.0, p, Trace.App_applied (c, r))) cmds)
+        [ 0; 1 ]
+    (* p2 applies req 2 first: both earlier reqs are then out of order
+       against the watermark, which never moves backwards. *)
+    @ [
+        (2.0, 2, Trace.App_applied (0, 2));
+        (2.1, 2, Trace.App_applied (0, 0));
+        (2.2, 2, Trace.App_applied (0, 1));
+      ]
+  in
+  check_app_report "order against the per-client watermark"
+    [
+      ("app.order", Some 2, "client 0 req 0 applied after req 2");
+      ("app.order", Some 2, "client 0 req 1 applied after req 2");
+    ]
+    (run_of events ~n:3)
+
+let test_app_hash_agreement_reported () =
+  let events =
+    [
+      (1.0, 0, Trace.App_hash (8, 0xaaL));
+      (1.0, 1, Trace.App_hash (8, 0xbbL));
+      (1.0, 2, Trace.App_hash (8, 0xaaL));
+      (2.0, 2, Trace.App_hash (4, 0x2L));
+      (2.0, 0, Trace.App_hash (4, 0x1L));
+      (2.0, 1, Trace.App_hash (4, 0x3L));
+    ]
+  in
+  check_app_report "cursor-sorted, against each cursor's first reporter"
+    [
+      ("app.hash-agreement", Some 0, "state hash 1 at cursor 4, but p2 hashed 2");
+      ("app.hash-agreement", Some 1, "state hash 3 at cursor 4, but p2 hashed 2");
+      ("app.hash-agreement", Some 1, "state hash bb at cursor 8, but p0 hashed aa");
+    ]
+    (run_of events ~n:3)
+
+let test_app_progress_reported () =
+  let events =
+    [
+      (1.0, 0, Trace.App_submit (0, 0));
+      (1.0, 1, Trace.App_submit (1, 0));
+      (* A retry reuses the identity and is checked once. *)
+      (1.5, 1, Trace.App_submit (1, 0));
+      (2.0, 0, Trace.App_applied (0, 0));
+      (2.0, 2, Trace.App_applied (0, 0));
+    ]
+  in
+  check_app_report "per submission, then per correct replica"
+    [
+      ("app.progress", Some 1, "client 0 req 0 submitted by correct p0 but never took effect");
+      ("app.progress", Some 0, "client 1 req 0 submitted by correct p1 but never took effect");
+      ("app.progress", Some 1, "client 1 req 0 submitted by correct p1 but never took effect");
+      ("app.progress", Some 2, "client 1 req 0 submitted by correct p1 but never took effect");
+    ]
+    (run_of events ~n:3)
+
+let test_app_progress_crashed_submitter_excused () =
+  let events =
+    [
+      (1.0, 2, Trace.App_submit (2, 0));
+      (1.0, 0, Trace.App_submit (0, 0));
+      (2.0, 0, Trace.App_applied (0, 0));
+      (3.0, 2, Trace.Crash);
+    ]
+  in
+  (* p2's command is excused with its submitter; p0's still owes p1
+     (and not the crashed p2). *)
+  check_app_report "crashed submitter excused"
+    [ ("app.progress", Some 1, "client 0 req 0 submitted by correct p0 but never took effect") ]
+    (run_of events ~n:3)
+
+let test_app_progress_exit_excused () =
+  let events =
+    [
+      (1.0, 0, Trace.App_submit (0, 0));
+      (1.0, 0, Trace.App_submit (0, 1));
+      (1.0, 1, Trace.App_submit (1, 0));
+      (1.5, 0, Trace.App_applied (0, 0));
+      (1.5, 1, Trace.App_applied (0, 0));
+      (2.0, 0, Trace.App_applied (1, 0));
+      (2.0, 1, Trace.App_applied (1, 0));
+      (2.0, 2, Trace.Exit);
+      (3.0, 0, Trace.App_applied (0, 1));
+      (3.0, 1, Trace.App_applied (0, 1));
+    ]
+  in
+  (* p2 left at 2.0: (0, 1) first took effect after that and is excused;
+     (0, 0) took effect before and (1, 0) at the exit instant, so p2
+     still owes both. *)
+  check_app_report "exit before first application excused"
+    [
+      ("app.progress", Some 2, "client 0 req 0 submitted by correct p0 but never took effect");
+      ("app.progress", Some 2, "client 1 req 0 submitted by correct p1 but never took effect");
+    ]
+    (run_of events ~n:3)
+
+let test_app_report_order_across_properties () =
+  let events =
+    [
+      (1.0, 0, Trace.App_submit (0, 0));
+      (1.0, 0, Trace.App_submit (0, 1));
+      (2.0, 1, Trace.App_applied (0, 1));
+      (2.1, 1, Trace.App_applied (0, 0));
+      (2.0, 0, Trace.App_applied (0, 0));
+      (2.1, 0, Trace.App_applied (0, 0));
+      (3.0, 0, Trace.App_hash (1, 0x10L));
+      (3.0, 1, Trace.App_hash (1, 0x11L));
+      (4.0, 1, Trace.App_violation "cas: client 0 read a stale value");
+    ]
+  in
+  check_app_report "probes, dedup/order by pid, hashes, progress"
+    [
+      ("app.probes", Some 1, "cas: client 0 read a stale value");
+      ("app.dedup", Some 0, "client 0 req 0 took effect twice");
+      ("app.order", Some 1, "client 0 req 0 applied after req 1");
+      ("app.hash-agreement", Some 1, "state hash 11 at cursor 1, but p0 hashed 10");
+      ("app.progress", Some 0, "client 0 req 1 submitted by correct p0 but never took effect");
+    ]
+    (run_of events ~n:2)
+
 let suites =
   [
     ( "checker",
@@ -328,5 +514,15 @@ let suites =
         Alcotest.test_case "rb vs urb agreement" `Quick test_rb_agreement_not_uniform;
         Alcotest.test_case "run view" `Quick test_run_view;
         Alcotest.test_case "verdict pp" `Quick test_verdict_pp;
+        Alcotest.test_case "app clean multi-client" `Quick test_app_clean_multi_client;
+        Alcotest.test_case "app probes report" `Quick test_app_probes_reported;
+        Alcotest.test_case "app dedup report" `Quick test_app_dedup_reported;
+        Alcotest.test_case "app order report" `Quick test_app_order_reported;
+        Alcotest.test_case "app hash-agreement report" `Quick test_app_hash_agreement_reported;
+        Alcotest.test_case "app progress report" `Quick test_app_progress_reported;
+        Alcotest.test_case "app progress crashed submitter" `Quick
+          test_app_progress_crashed_submitter_excused;
+        Alcotest.test_case "app progress exit excusal" `Quick test_app_progress_exit_excused;
+        Alcotest.test_case "app report order" `Quick test_app_report_order_across_properties;
       ] );
   ]
