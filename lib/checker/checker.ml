@@ -27,8 +27,22 @@ let merge verdicts =
   }
 
 module Id_set = Msg_id.Set
+module Id_tbl = Msg_id.Table
+
+(* Tables keyed by an application command, (client, req). *)
+module Cmd_tbl = Hashtbl.Make (struct
+  type t = int * int
+
+  let equal (c, r) (c', r') = Int.equal c c' && Int.equal r r'
+  let hash (c, r) = (Hashtbl.hash c * 31) + r
+end)
 
 module Run = struct
+  type applied = {
+    first_time : Time.t;  (* earliest application anywhere *)
+    at : bool array;  (* per replica: the command took effect there *)
+  }
+
   type t = {
     n : int;
     crash_times : (Pid.t, Time.t) Hashtbl.t;
@@ -38,20 +52,18 @@ module Run = struct
     abroadcasts : (Pid.t * Msg_id.t * Time.t) list;
     adeliveries : Msg_id.t list array;  (* delivery order per process *)
     rdeliveries : Msg_id.t list array;  (* includes urb deliveries *)
-    rdelivered_sets : Id_set.t array;
     proposes : (Pid.t * int * Msg_id.t list) list;
     decisions : (Pid.t * int * Msg_id.t list) list;
     first_propose_time : (int, Time.t) Hashtbl.t;
     first_decision_time : (int, Time.t) Hashtbl.t;
-    first_rdeliver_time : (Pid.t * Msg_id.t, Time.t) Hashtbl.t;
+    first_rdeliver_time : Time.t Id_tbl.t array;  (* per process *)
     rbroadcasts : (Pid.t * Msg_id.t) list;  (* chronological *)
     local_events : [ `Bcast of Msg_id.t | `Deliv of Msg_id.t ] list array;
         (* per process, chronological broadcast-layer events *)
     app_submits : (Pid.t * int * int) list;
         (* chronological (pid, client, req); first attempts only *)
     app_applied : (int * int) list array;  (* per process, application order *)
-    first_applied_time : (int * int, Time.t) Hashtbl.t;
-        (* command -> earliest application anywhere *)
+    applied : applied Cmd_tbl.t;  (* every command that took effect *)
     app_hashes : (Pid.t * int * int64) list;  (* (pid, cursor, state hash) *)
     app_violation_events : (Pid.t * string) list;  (* machine probe firings *)
   }
@@ -66,12 +78,12 @@ module Run = struct
     let decisions = ref [] in
     let first_propose_time = Hashtbl.create 32 in
     let first_decision_time = Hashtbl.create 32 in
-    let first_rdeliver_time = Hashtbl.create 256 in
+    let first_rdeliver_time = Array.init n (fun _ -> Id_tbl.create 256) in
     let rbroadcasts = ref [] in
     let local_events = Array.make n [] in
     let app_submits = ref [] in
     let app_applied = Array.make n [] in
-    let first_applied_time = Hashtbl.create 256 in
+    let applied = Cmd_tbl.create 256 in
     let app_hashes = ref [] in
     let app_violation_events = ref [] in
     Trace.iter trace (fun (e : Trace.event) ->
@@ -87,8 +99,8 @@ module Run = struct
         | Trace.Rdeliver id | Trace.Urb_deliver id ->
             rdeliv.(e.pid) <- id :: rdeliv.(e.pid);
             local_events.(e.pid) <- `Deliv id :: local_events.(e.pid);
-            if not (Hashtbl.mem first_rdeliver_time (e.pid, id)) then
-              Hashtbl.add first_rdeliver_time (e.pid, id) e.time
+            if not (Id_tbl.mem first_rdeliver_time.(e.pid) id) then
+              Id_tbl.add first_rdeliver_time.(e.pid) id e.time
         | Trace.Propose (k, ids) ->
             proposes := (e.pid, k, ids) :: !proposes;
             if not (Hashtbl.mem first_propose_time k) then
@@ -104,8 +116,12 @@ module Run = struct
             app_submits := (e.pid, client, req) :: !app_submits
         | Trace.App_applied (client, req) ->
             app_applied.(e.pid) <- (client, req) :: app_applied.(e.pid);
-            if not (Hashtbl.mem first_applied_time (client, req)) then
-              Hashtbl.add first_applied_time (client, req) e.time
+            (match Cmd_tbl.find_opt applied (client, req) with
+            | Some a -> a.at.(e.pid) <- true
+            | None ->
+                let at = Array.make n false in
+                at.(e.pid) <- true;
+                Cmd_tbl.add applied (client, req) { first_time = e.time; at })
         | Trace.App_hash (cursor, h) -> app_hashes := (e.pid, cursor, h) :: !app_hashes
         | Trace.App_violation msg ->
             app_violation_events := (e.pid, msg) :: !app_violation_events
@@ -114,16 +130,13 @@ module Run = struct
            properties are checked against what the protocol did under them. *)
         | Trace.Net_drop _ | Trace.Net_dup _ | Trace.Net_delay _
         | Trace.Partition_start _ | Trace.Partition_heal _ -> ());
-    let adeliveries = Array.map List.rev adeliv in
-    let rdeliveries = Array.map List.rev rdeliv in
     {
       n;
       crash_times;
       exit_times;
       abroadcasts = List.rev !abroadcasts;
-      adeliveries;
-      rdeliveries;
-      rdelivered_sets = Array.map Id_set.of_list rdeliveries;
+      adeliveries = Array.map List.rev adeliv;
+      rdeliveries = Array.map List.rev rdeliv;
       proposes = List.rev !proposes;
       decisions = List.rev !decisions;
       first_propose_time;
@@ -133,7 +146,7 @@ module Run = struct
       local_events = Array.map List.rev local_events;
       app_submits = List.rev !app_submits;
       app_applied = Array.map List.rev app_applied;
-      first_applied_time;
+      applied;
       app_hashes = List.rev !app_hashes;
       app_violation_events = List.rev !app_violation_events;
     }
@@ -158,10 +171,10 @@ end
 let dup_check ~property ~primitive run seqs =
   List.concat_map
     (fun p ->
-      let seen = Hashtbl.create 64 in
+      let seen = Id_tbl.create 64 in
       List.filter_map
         (fun id ->
-          if Hashtbl.mem seen id then
+          if Id_tbl.mem seen id then
             Some
               {
                 property;
@@ -169,7 +182,7 @@ let dup_check ~property ~primitive run seqs =
                 detail = Printf.sprintf "%s delivered %s twice" primitive (Msg_id.to_string id);
               }
           else begin
-            Hashtbl.add seen id ();
+            Id_tbl.add seen id ();
             None
           end)
         (seqs p))
@@ -269,22 +282,31 @@ let check_broadcast_generic ~uniform ~prefix run =
 let check_reliable_broadcast run = check_broadcast_generic ~uniform:false ~prefix:"rb" run
 let check_uniform_broadcast run = check_broadcast_generic ~uniform:true ~prefix:"urb" run
 
-let group_by_instance events =
+(* Instance -> (pid, ids) events in reverse trace order. *)
+let instance_table events =
   let tbl = Hashtbl.create 32 in
   List.iter
     (fun (p, k, ids) ->
       let l = try Hashtbl.find tbl k with Not_found -> [] in
       Hashtbl.replace tbl k ((p, ids) :: l))
     events;
+  tbl
+
+(* Instance-sorted, each instance's events in trace order. *)
+let by_instance tbl =
   Ics_prelude.Sorted_tbl.fold ~cmp:Int.compare
     (fun k l acc -> (k, List.rev l) :: acc)
     tbl []
   |> List.rev
 
+let group_by_instance events = by_instance (instance_table events)
+
 let check_consensus run =
   let correct = Run.correct run in
-  let decisions_by_k = group_by_instance run.Run.decisions in
-  let proposes_by_k = group_by_instance run.Run.proposes in
+  let decisions_tbl = instance_table run.Run.decisions in
+  let proposes_tbl = instance_table run.Run.proposes in
+  let decisions_by_k = by_instance decisions_tbl in
+  let proposes_by_k = by_instance proposes_tbl in
   let violations = ref [] in
   let add property culprit detail = violations := { property; culprit; detail } :: !violations in
   (* Uniform integrity: at most one decision per (p, k). *)
@@ -322,12 +344,13 @@ let check_consensus run =
       | [] -> ()
       | (_, v) :: _ ->
           let proposals =
-            match List.assoc_opt k proposes_by_k with Some l -> List.map snd l | None -> []
+            match Hashtbl.find_opt proposes_tbl k with Some l -> List.map snd l | None -> []
           in
           let sorted l = List.sort Msg_id.compare l in
+          let decided = sorted v in
           if not
                (List.exists
-                  (fun prop -> List.equal Msg_id.equal (sorted prop) (sorted v))
+                  (fun prop -> List.equal Msg_id.equal (sorted prop) decided)
                   proposals)
           then
             add "consensus.uniform-validity" None
@@ -369,7 +392,7 @@ let check_consensus run =
   List.iter
     (fun (k, props) ->
       let proposed_by_correct = List.exists (fun (p, _) -> List.mem p correct) props in
-      let decided = List.mem_assoc k decisions_by_k in
+      let decided = Hashtbl.mem decisions_tbl k in
       let excused =
         match (shutdown_start, Hashtbl.find_opt run.Run.first_propose_time k) with
         | Some te, Some tp -> tp > te
@@ -399,9 +422,9 @@ let check_no_loss ?(strict = false) run =
     List.exists
       (fun p ->
         match deadline with
-        | None -> Id_set.mem id run.Run.rdelivered_sets.(p)
+        | None -> Id_tbl.mem run.Run.first_rdeliver_time.(p) id
         | Some t -> (
-            match Hashtbl.find_opt run.Run.first_rdeliver_time (p, id) with
+            match Id_tbl.find_opt run.Run.first_rdeliver_time.(p) id with
             | Some t' -> t' <= t
             | None -> false))
       correct
@@ -529,10 +552,11 @@ let check_fifo_order run =
   Ics_prelude.Sorted_tbl.iter ~cmp:Pid.compare
     (fun origin rev_order ->
       let order = List.rev rev_order in
+      let from_origin = Id_set.of_list order in
       List.iter
         (fun p ->
           let delivered_from_origin =
-            List.filter (fun id -> List.mem id order) (Run.rdeliveries run p)
+            List.filter (fun id -> Id_set.mem id from_origin) (Run.rdeliveries run p)
           in
           if not (is_prefix delivered_from_origin order) then
             violations :=
@@ -557,30 +581,36 @@ let check_causal_order run =
   let predecessors = Hashtbl.create 64 in
   List.iter
     (fun p ->
+      (* [seen] in reverse local order; [seen_ids] answers membership. *)
       let seen = ref [] in
+      let seen_ids = Id_tbl.create 64 in
+      let see id =
+        seen := id :: !seen;
+        Id_tbl.replace seen_ids id ()
+      in
       List.iter
         (fun ev ->
           match ev with
           | `Bcast id ->
               Hashtbl.replace predecessors id !seen;
-              seen := id :: !seen
-          | `Deliv id -> if not (List.mem id !seen) then seen := id :: !seen)
+              see id
+          | `Deliv id -> if not (Id_tbl.mem seen_ids id) then see id)
         (Run.local_events run p))
     (Pid.all ~n:(Run.n run));
   let violations = ref [] in
   List.iter
     (fun p ->
-      let pos = Hashtbl.create 64 in
-      List.iteri (fun i id -> if not (Hashtbl.mem pos id) then Hashtbl.add pos id i)
+      let pos = Id_tbl.create 64 in
+      List.iteri (fun i id -> if not (Id_tbl.mem pos id) then Id_tbl.add pos id i)
         (Run.rdeliveries run p);
       Ics_prelude.Sorted_tbl.iter ~cmp:Msg_id.compare
         (fun m2 preds ->
-          match Hashtbl.find_opt pos m2 with
+          match Id_tbl.find_opt pos m2 with
           | None -> ()
           | Some i2 ->
               List.iter
                 (fun m1 ->
-                  match Hashtbl.find_opt pos m1 with
+                  match Id_tbl.find_opt pos m1 with
                   | Some i1 when i1 > i2 ->
                       violations :=
                         {
@@ -684,24 +714,22 @@ let check_app run =
      submitters are excused (their command may never have left the node);
      a replica that exited before the command's first application
      anywhere is excused (it left the run before the effect existed). *)
-  let submit_seen = Hashtbl.create 256 in
+  let submit_seen = Cmd_tbl.create 256 in
   let correct = Run.correct run in
   List.iter
     (fun (src, client, req) ->
-      if (not (Hashtbl.mem submit_seen (client, req))) && Run.is_correct run src
+      if (not (Cmd_tbl.mem submit_seen (client, req))) && Run.is_correct run src
       then begin
-        Hashtbl.add submit_seen (client, req) ();
-        let first_applied = Hashtbl.find_opt run.Run.first_applied_time (client, req) in
+        Cmd_tbl.add submit_seen (client, req) ();
+        let applied = Cmd_tbl.find_opt run.Run.applied (client, req) in
         List.iter
           (fun q ->
             let applied_here =
-              List.exists
-                (fun (c, r) -> c = client && r = req)
-                (Run.app_applied run q)
+              match applied with Some a -> a.Run.at.(q) | None -> false
             in
             let excused =
-              match (Run.exit_time run q, first_applied) with
-              | Some te, Some ta -> ta > te
+              match (Run.exit_time run q, applied) with
+              | Some te, Some a -> a.Run.first_time > te
               | _ -> false
             in
             if (not applied_here) && not excused then
