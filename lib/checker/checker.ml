@@ -34,6 +34,9 @@ module Cmd_tbl = Hashtbl.Make (struct
   type t = int * int
 
   let equal (c, r) (c', r') = Int.equal c c' && Int.equal r r'
+
+  (* Not [Hashtbl.hash ((c lsl 32) lxor r)]: [Hashtbl.hash] folds an
+     int's high 32 bits onto its low ones, so that collides to c lxor r. *)
   let hash (c, r) = (Hashtbl.hash c * 31) + r
 end)
 
@@ -299,8 +302,6 @@ let by_instance tbl =
     tbl []
   |> List.rev
 
-let group_by_instance events = by_instance (instance_table events)
-
 let check_consensus run =
   let correct = Run.correct run in
   let decisions_tbl = instance_table run.Run.decisions in
@@ -429,7 +430,7 @@ let check_no_loss ?(strict = false) run =
             | None -> false))
       correct
   in
-  let decisions_by_k = group_by_instance run.Run.decisions in
+  let decisions_by_k = by_instance (instance_table run.Run.decisions) in
   let violations =
     List.concat_map
       (fun (k, decs) ->

@@ -16,7 +16,15 @@
       correct process — approximated on traces as: some correct process
       eventually rdelivers it);
     - {e atomic broadcast}: Validity, Uniform integrity, Uniform
-      agreement, Uniform total order. *)
+      agreement, Uniform total order.
+
+    Cost: {!Run.of_trace} makes the one indexing pass over the trace
+    (per-process sequences and first-occurrence tables, including which
+    replicas applied each command); each property is then one O(E log E)
+    pass in the trace length E over those indexes, with hash or set
+    lookups and no per-element list scans.  The one exception is
+    {!check_causal_order}, which walks every message's causal-predecessor
+    list and so costs the size of the happens-before relation it checks. *)
 
 module Pid = Ics_sim.Pid
 module Time = Ics_sim.Time
