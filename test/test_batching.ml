@@ -3,7 +3,8 @@
    bit-identically, batched cells must stay checker-green under every
    fault plan, the flush timer must drain sub-batch residues (including
    at the horizon, lint rule P2's discipline), and the batched sim cell
-   must replay deterministically. *)
+   must replay deterministically, and a cell where the proposal cap
+   binds is pinned bit-for-bit. *)
 
 module Stack = Ics_core.Stack
 module Abcast = Ics_core.Abcast
@@ -11,6 +12,7 @@ module Checker = Ics_checker.Checker
 module Chaos = Ics_workload.Chaos
 module Point = Ics_workload.Point
 module Profile = Ics_core.Profile
+module Trace = Ics_sim.Trace
 
 let checkb = Alcotest.(check bool)
 
@@ -84,6 +86,47 @@ let test_batched_replay_deterministic () =
       Alcotest.(check string) "batched replay fingerprint pinned"
         "9ff31cfeb0fba2b045a96ecee6944ea3" fp
   | Error (a, b) -> Alcotest.failf "batched sim replay diverged: %s vs %s" a b
+
+(* A batched service cell where the proposal cap binds: 300 clients on
+   a 20 ms ramp flood batch=4/pipeline=2 with a backlog, so proposals
+   are cut at batch x cap_factor = 32 ids and the ids a decision leaves
+   out are released back into the fresh pool and proposed again.  The
+   fingerprint and state hash pin the whole schedule; the trace checks
+   prove both the cap and the release path actually ran. *)
+let test_batched_cap_binds () =
+  let batching = { Abcast.batch = 4; pipeline = 2; flush_ms = 1.0 } in
+  let p =
+    Point.run (Point.Sim Point.lan)
+      (Point.service ~seed:7L ~batching ~hash_every:64 ~ramp_ms:20.0
+         ~horizon_ms:60_000.0 (Point.Sim Point.lan) ~n:3 ~clients:300 ~requests:2)
+  in
+  checkb "checker green and complete" true (Point.ok p);
+  Alcotest.(check string) "trace fingerprint pinned"
+    "69ca95ad1d343a3285bb6201bb02f54c" (Point.fingerprint p);
+  (match p.Point.app_hash with
+  | Some (cursor, h) ->
+      Alcotest.(check int) "cursor" 600 cursor;
+      Alcotest.(check string) "state hash" "71cfc4c4f5a44c8f" (Printf.sprintf "%Lx" h)
+  | None -> Alcotest.fail "no state hash recorded");
+  let trace = Option.get p.Point.trace in
+  let cap = batching.Abcast.batch * 8 in
+  let largest = ref 0 and at_cap = ref 0 and reproposed = ref 0 in
+  let seen = Hashtbl.create 1024 in
+  Trace.iter trace (fun e ->
+      match e.Trace.kind with
+      | Trace.Propose (_, ids) ->
+          let len = List.length ids in
+          largest := max !largest len;
+          if len = cap then incr at_cap;
+          List.iter
+            (fun id ->
+              if Hashtbl.mem seen (e.Trace.pid, id) then incr reproposed
+              else Hashtbl.add seen (e.Trace.pid, id) ())
+            ids
+      | _ -> ());
+  checkb "no proposal exceeds the cap" true (!largest <= cap);
+  checkb "some proposal is cut at the cap" true (!at_cap > 0);
+  checkb "released ids are proposed again" true (!reproposed > 0)
 
 let delivered stack p = Abcast.delivered_sequence stack.Stack.abcast p
 
@@ -170,6 +213,7 @@ let suites =
         Alcotest.test_case "batched chaos cells green" `Quick test_batched_chaos_green;
         Alcotest.test_case "batched replay deterministic" `Quick
           test_batched_replay_deterministic;
+        Alcotest.test_case "batched cap binds" `Quick test_batched_cap_binds;
         Alcotest.test_case "flush timer drains residue" `Quick
           test_flush_timer_drains_residue;
         Alcotest.test_case "flush honors horizon" `Quick test_flush_honors_horizon;
