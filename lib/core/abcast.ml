@@ -21,11 +21,13 @@ type pstate = {
   mutable unordered : Msg_id.Set.t;
   mutable unordered_elems : Msg_id.t list option;
       (* memo of [Msg_id.Set.elements unordered]; invalidated on mutation *)
-  mutable inflight : Msg_id.Set.t;
-      (* ids this process has proposed into a still-open instance; the
-         complement [unordered \ inflight] is what the next slot may carry *)
+  mutable fresh : Msg_id.Set.t;
+      (* [unordered] minus the ids riding one of this process's open
+         proposals: what the next slot may carry.  Kept incrementally, so
+         no arrival pays a walk of the backlog. *)
+  mutable fresh_n : int;  (* [Msg_id.Set.cardinal fresh] *)
   proposed_ids : (int, Msg_id.t list) Hashtbl.t;
-      (* instance -> ids we proposed there, so [inflight] can be released
+      (* instance -> ids we proposed there, so they can return to [fresh]
          when the instance's decision is applied *)
   mutable flush_armed : bool;
   ordered_pending : Msg_id.t Queue.t;
@@ -67,16 +69,26 @@ let proposal_of_ids t p ids =
   | Consensus_on_messages ->
       Proposal.on_messages (List.map (Msg_id.Table.find t.states.(p).received) ids)
   | Consensus_on_ids | Indirect_consensus ->
-      (* [ids] comes from Set.elements: already sorted and duplicate-free. *)
+      (* [ids] comes out of a [Msg_id.Set] in order: sorted, duplicate-free. *)
       Proposal.of_sorted ids
 
 let make_proposal t p = proposal_of_ids t p (unordered_elems t.states.(p))
 
-(* Ids eligible for the next instance slot: unordered minus whatever is
-   already riding an open instance. *)
-let fresh_ids st =
-  if Msg_id.Set.is_empty st.inflight then unordered_elems st
-  else Msg_id.Set.elements (Msg_id.Set.diff st.unordered st.inflight)
+(* [Set.add]/[Set.remove] return the set itself when nothing changes,
+   which is what keeps [fresh_n] exact without a membership test. *)
+let fresh_add st id =
+  let s = Msg_id.Set.add id st.fresh in
+  if s != st.fresh then begin
+    st.fresh <- s;
+    st.fresh_n <- st.fresh_n + 1
+  end
+
+let fresh_remove st id =
+  let s = Msg_id.Set.remove id st.fresh in
+  if s != st.fresh then begin
+    st.fresh <- s;
+    st.fresh_n <- st.fresh_n - 1
+  end
 
 (* Proposal size cap, batched modes only.  [batch] stays a trigger, but a
    single value may not carry an unbounded backlog: every cost downstream
@@ -90,15 +102,22 @@ let cap_factor = 8
 
 let batched b = b.batch > 1 || b.pipeline > 1
 
-let rec take k ids =
-  if k <= 0 then []
-  else match ids with [] -> [] | id :: tl -> id :: take (k - 1) tl
-
-let cap_ids b ids = if batched b then take (b.batch * cap_factor) ids else ids
-
-(* [List.length ids >= k] without walking a backlog-sized list. *)
-let rec at_least k ids =
-  k <= 0 || (match ids with [] -> false | _ :: tl -> at_least (k - 1) tl)
+(* The next proposal's ids, taken out of [fresh]: its first
+   [batch x cap_factor] ids in [Msg_id] order when batched, all of it
+   otherwise.  Sorted and duplicate-free, as [Proposal.of_sorted] needs.
+   Costs O(ids taken + log fresh_n), never O(fresh_n) when capped. *)
+let take_fresh b st =
+  let ids =
+    if batched b then List.of_seq (Seq.take (b.batch * cap_factor) (Msg_id.Set.to_seq st.fresh))
+    else Msg_id.Set.elements st.fresh
+  in
+  (match List.rev ids with
+  | [] -> ()
+  | last :: _ ->
+      let _, _, rest = Msg_id.Set.split last st.fresh in
+      st.fresh <- rest;
+      st.fresh_n <- st.fresh_n - List.length ids);
+  ids
 
 let try_deliver t p =
   let st = t.states.(p) in
@@ -117,34 +136,31 @@ let try_deliver t p =
 
 (* Batching and pipelining of Algorithm 1's proposal step.  Instance
    slots [applied+1 .. applied+pipeline] may run concurrently; each id is
-   proposed into at most one open instance (tracked by [inflight]), and a
-   slot is opened only once [batch] fresh ids have accumulated or the
-   flush timer fires.  [batch] is a trigger, not a cap: a proposal carries
-   every fresh id, so a backlog drains in one instance.  At the default
+   proposed into at most one open instance (it leaves [fresh] until the
+   instance is applied), and a slot is opened only once [batch] fresh ids
+   have accumulated or the flush timer fires.  [batch] triggers a
+   proposal; batched, [batch x cap_factor] caps it, so a backlog drains
+   in bounded bites over several instances.  At the default
    batch=1/pipeline=1 this reduces exactly to the seed behaviour — one
-   instance at a time, proposed the moment an id shows up, no timer ever
-   armed — which is what keeps the pinned chaos fingerprints bit-identical. *)
+   instance at a time, proposed the moment an id shows up carrying every
+   unordered id, no timer ever armed — which is what keeps the pinned
+   chaos fingerprints bit-identical. *)
 let rec try_propose ?(flush = false) t p =
   let st = t.states.(p) in
   let rec slots d =
     if d <= t.batching.pipeline then begin
       let k = st.applied + d in
-      (* Occupancy first: while every slot is riding an instance — the
-         steady state under load — this call must stay O(pipeline), not
-         pay the O(backlog) set walk below on every arrival. *)
+      (* O(pipeline) occupancy checks per call; a free slot adds one
+         O(1) trigger test, and only a proposal touches the pool. *)
       if t.consensus.has_instance p k then slots (d + 1)
-      else
-        let ids = fresh_ids st in
-        if ids <> [] then
-          if flush || at_least t.batching.batch ids then begin
-            let ids = cap_ids t.batching ids in
-            t.consensus.propose p k (proposal_of_ids t p ids);
-            Hashtbl.replace st.proposed_ids k ids;
-            st.inflight <-
-              List.fold_left (fun s id -> Msg_id.Set.add id s) st.inflight ids;
-            slots (d + 1)
-          end
-          else arm_flush t p
+      else if st.fresh_n > 0 then
+        if flush || st.fresh_n >= t.batching.batch then begin
+          let ids = take_fresh t.batching st in
+          t.consensus.propose p k (proposal_of_ids t p ids);
+          Hashtbl.replace st.proposed_ids k ids;
+          slots (d + 1)
+        end
+        else arm_flush t p
     end
   in
   slots 1
@@ -177,13 +193,14 @@ let apply_decisions t p =
         let k = st.applied + 1 in
         Hashtbl.remove st.decisions k;
         st.applied <- k;
-        (* Release our own proposal for [k] from [inflight]: ids the
-           decision left out return to the fresh pool for a later slot. *)
+        (* Release our own proposal for [k]: its ids not yet ordered return
+           to [fresh] for a later slot; those [k] decides leave again below. *)
         (match Hashtbl.find_opt st.proposed_ids k with
         | Some ids ->
             Hashtbl.remove st.proposed_ids k;
-            st.inflight <-
-              List.fold_left (fun s id -> Msg_id.Set.remove id s) st.inflight ids
+            List.iter
+              (fun id -> if not (Msg_id.Table.mem st.ordered_ever id) then fresh_add st id)
+              ids
         | None -> ());
         (* Proposal ids are sorted (deterministic order, Algorithm 1 line
            20); skip anything already ordered by an earlier instance. *)
@@ -193,7 +210,8 @@ let apply_decisions t p =
               Msg_id.Table.add st.ordered_ever id ();
               Queue.push id st.ordered_pending;
               st.unordered <- Msg_id.Set.remove id st.unordered;
-              st.unordered_elems <- None
+              st.unordered_elems <- None;
+              fresh_remove st id
             end)
           (Proposal.ids v);
         progressed := true;
@@ -218,7 +236,8 @@ let on_broadcast_deliver t p (m : App_msg.t) =
       && not (Msg_id.Set.mem m.id st.unordered)
     then begin
       st.unordered <- Msg_id.Set.add m.id st.unordered;
-      st.unordered_elems <- None
+      st.unordered_elems <- None;
+      fresh_add st m.id
     end;
     (* The payload may unblock an already ordered head. *)
     try_deliver t p;
@@ -239,7 +258,8 @@ let create ?(batching = no_batching) transport ~ordering ~make_broadcast
           received = Msg_id.Table.create 256;
           unordered = Msg_id.Set.empty;
           unordered_elems = None;
-          inflight = Msg_id.Set.empty;
+          fresh = Msg_id.Set.empty;
+          fresh_n = 0;
           proposed_ids = Hashtbl.create 8;
           flush_armed = false;
           ordered_pending = Queue.create ();
@@ -282,7 +302,7 @@ let create ?(batching = no_batching) transport ~ordering ~make_broadcast
   (* Join values: unbatched, the full unordered set (Algorithm 1's
      proposal — a joiner's value only matters if the coordinator's is
      lost, and then completeness beats batch shape).  Batched/pipelined,
-     the fresh set only, marked inflight like a regular proposal: with
+     the fresh set only, taken out of it like a regular proposal: with
      several instances open, re-offering ids that already ride an earlier
      open instance makes the same ids decide twice in consecutive
      instances (pure waste) and keeps the instance stream running after
@@ -290,12 +310,8 @@ let create ?(batching = no_batching) transport ~ordering ~make_broadcast
   let join p k =
     if batched batching then begin
       let st = t.states.(p) in
-      let ids = cap_ids batching (fresh_ids st) in
-      if ids <> [] then begin
-        Hashtbl.replace st.proposed_ids k ids;
-        st.inflight <-
-          List.fold_left (fun s id -> Msg_id.Set.add id s) st.inflight ids
-      end;
+      let ids = take_fresh batching st in
+      if ids <> [] then Hashtbl.replace st.proposed_ids k ids;
       proposal_of_ids t p ids
     end
     else make_proposal t p
