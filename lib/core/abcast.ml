@@ -102,22 +102,25 @@ let cap_factor = 8
 
 let batched b = b.batch > 1 || b.pipeline > 1
 
-(* The next proposal's ids, taken out of [fresh]: its first
-   [batch x cap_factor] ids in [Msg_id] order when batched, all of it
-   otherwise.  Sorted and duplicate-free, as [Proposal.of_sorted] needs.
-   Costs O(ids taken + log fresh_n), never O(fresh_n) when capped. *)
+(* The next proposal's ids, taken out of [fresh] in [Msg_id] order:
+   sorted and duplicate-free, as [Proposal.of_sorted] needs.  Batched,
+   only the first [batch x cap_factor]: a capped take costs O(cap +
+   log fresh_n), never O(fresh_n). *)
 let take_fresh b st =
-  let ids =
-    if batched b then List.of_seq (Seq.take (b.batch * cap_factor) (Msg_id.Set.to_seq st.fresh))
-    else Msg_id.Set.elements st.fresh
-  in
-  (match List.rev ids with
-  | [] -> ()
-  | last :: _ ->
-      let _, _, rest = Msg_id.Set.split last st.fresh in
-      st.fresh <- rest;
-      st.fresh_n <- st.fresh_n - List.length ids);
-  ids
+  let cap = b.batch * cap_factor in
+  if batched b && st.fresh_n > cap then begin
+    let ids = List.of_seq (Seq.take cap (Msg_id.Set.to_seq st.fresh)) in
+    let _, _, rest = Msg_id.Set.split (List.nth ids (cap - 1)) st.fresh in
+    st.fresh <- rest;
+    st.fresh_n <- st.fresh_n - cap;
+    ids
+  end
+  else begin
+    let ids = Msg_id.Set.elements st.fresh in
+    st.fresh <- Msg_id.Set.empty;
+    st.fresh_n <- 0;
+    ids
+  end
 
 let try_deliver t p =
   let st = t.states.(p) in
