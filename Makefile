@@ -1,6 +1,6 @@
 # Convenience targets; `make verify` is the pre-merge gate.
 
-.PHONY: all build test bench chaos chaos-smoke jobs-smoke chaos-live-smoke cluster-smoke saturation-smoke service-smoke lint lint-report verify clean
+.PHONY: all build test bench chaos chaos-smoke jobs-smoke chaos-live-smoke cluster-smoke saturation-smoke service-smoke bench-smoke lint lint-report verify clean
 
 all: build
 
@@ -65,6 +65,19 @@ service-smoke:
 	dune exec bin/ics_cli.exe -- service --clients 200 --requests 3 --replay-check
 	dune exec bin/ics_cli.exe -- service --clients 200 --requests 3 --live; $(SKIP_NO_SOCKETS)
 
+# One-second runs of the two simulator benchmark workloads.  Each run
+# checks its own pins (the sim-paper latency fingerprint, the sim-service
+# default-seed state hash) and the checker batteries, and reports them
+# as "correct" in the JSON summary on its last stdout line.
+bench-smoke:
+	@for w in sim-paper sim-service; do \
+	  out=$$(python3 perfbench/run.py --workload $$w --seconds 1) || exit 1; \
+	  last=$$(printf '%s\n' "$$out" | tail -n 1); \
+	  echo "$$w: $$last"; \
+	  printf '%s' "$$last" | python3 -c 'import json, sys; sys.exit(json.load(sys.stdin).get("correct") is not True)' \
+	    || { echo "bench-smoke: $$w is not correct"; exit 1; }; \
+	done
+
 # Determinism & protocol-safety linter over lib/, bin/ and examples/
 # (exit 0 clean, 1 findings, 2 internal error).
 lint:
@@ -77,7 +90,7 @@ lint-report:
 	dune exec bin/ics_lint.exe -- --root . --format sarif > _build/lint.sarif; \
 	rc=$$?; echo "lint-report: _build/lint.sarif"; exit $$rc
 
-verify: build test lint lint-report chaos-smoke jobs-smoke chaos-live-smoke cluster-smoke saturation-smoke service-smoke
+verify: build test lint lint-report chaos-smoke jobs-smoke chaos-live-smoke cluster-smoke saturation-smoke service-smoke bench-smoke
 
 clean:
 	dune clean

@@ -47,9 +47,11 @@ type ordering = Consensus_on_messages | Consensus_on_ids | Indirect_consensus
 
 type batching = {
   batch : int;
-      (** fresh ids that trigger a proposal.  A trigger, not a cap: a
-          proposal always carries every fresh id, so a backlog drains in
-          one instance. *)
+      (** fresh ids (r-delivered, not yet ordered, not riding one of
+          this process's open proposals) that trigger a proposal.
+          Unbatched (batch=1, pipeline=1) a proposal carries every fresh
+          id; otherwise it carries at most [batch x 8], so a backlog
+          drains in bounded bites over several instances. *)
   pipeline : int;
       (** instance slots [applied+1 .. applied+pipeline] that may run
           concurrently.  Decisions still commit strictly in instance
