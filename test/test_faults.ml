@@ -9,11 +9,14 @@ module Model = Ics_net.Model
 module Message = Ics_net.Message
 module Layer = Ics_net.Layer
 module Retransmit = Ics_net.Retransmit
+module Transport = Ics_net.Transport
+module Host = Ics_net.Host
 module Nemesis = Ics_faults.Nemesis
 module Stack = Ics_core.Stack
 module Abcast = Ics_core.Abcast
 module Checker = Ics_checker.Checker
 module Chaos = Ics_workload.Chaos
+module Point = Ics_workload.Point
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -154,92 +157,152 @@ let test_plan_pp () =
 
 (* --- Retransmission channel ---------------------------------------------- *)
 
-let test_retransmit_lossless_passthrough () =
-  let e = Engine.create ~n:2 () in
-  let model, stats = Retransmit.wrap (mk_base 2) in
+(* Both adapters of the go-back-N channel under one harness: [send ~src
+   ~dst k] queues one message whose in-order, exactly-once delivery at
+   [dst] runs [k].  [over_wrap] drives {!Retransmit.wrap} through
+   [Model.send] (losses from [Nemesis.apply]); [over_install] drives
+   {!Retransmit.install} on a simulated transport (losses from
+   [Nemesis.interposer]).  An empty plan installs no nemesis at all. *)
+type harness = {
+  engine : Engine.t;
+  send : src:Pid.t -> dst:Pid.t -> (unit -> unit) -> unit;
+  stats : Retransmit.stats;
+}
+
+let over_wrap ~n plan =
+  let e = Engine.create ~n () in
+  let base =
+    if plan = [] then mk_base n
+    else fst (Nemesis.apply ~engine:e ~seed:1L ~plan ~base:(mk_base n) ())
+  in
+  let model, stats = Retransmit.wrap base in
+  {
+    engine = e;
+    stats;
+    send = (fun ~src ~dst k -> Model.send model e (msg ~src ~dst ()) ~arrive:k);
+  }
+
+type Message.payload += Nth of int
+
+let over_install ~n plan =
+  let e = Engine.create ~n () in
+  let t = Transport.create e ~model:(mk_base n) ~host:Host.instant in
+  if plan <> [] then begin
+    let mw, _ =
+      Nemesis.interposer ~env:(Transport.env t) ~seed:1L ~plan ()
+    in
+    Transport.interpose t mw
+  end;
+  let stats = Retransmit.install t in
+  let layer = Transport.intern t "test" in
+  let on_arrival = Hashtbl.create 8 in
+  for p = 0 to n - 1 do
+    Transport.register t p ~layer (fun m ->
+        match m.Message.payload with
+        | Nth i -> (Hashtbl.find on_arrival i) ()
+        | _ -> ())
+  done;
+  let next = ref 0 in
+  {
+    engine = e;
+    stats;
+    send =
+      (fun ~src ~dst k ->
+        let i = !next in
+        incr next;
+        Hashtbl.replace on_arrival i k;
+        Transport.send t ~src ~dst ~layer ~body_bytes:8 (Nth i));
+  }
+
+let test_retransmit_lossless_passthrough over () =
+  let h = over ~n:2 [] in
   let order = ref [] in
   for i = 1 to 5 do
-    Model.send model e (msg ~src:0 ~dst:1 ()) ~arrive:(fun () -> order := i :: !order)
+    h.send ~src:0 ~dst:1 (fun () -> order := i :: !order)
   done;
-  Engine.run ~until:200.0 e;
+  Engine.run ~until:200.0 h.engine;
   Alcotest.(check (list int)) "in order, exactly once" [ 1; 2; 3; 4; 5 ] (List.rev !order);
-  checki "no retransmits on a clean link" 0 stats.Retransmit.retransmits;
-  checki "one transmission per message" 5 stats.Retransmit.transmissions;
-  checki "queue drained" 0 (Engine.pending e)
+  checki "no retransmits on a clean link" 0 h.stats.Retransmit.retransmits;
+  checki "one transmission per message" 5 h.stats.Retransmit.transmissions;
+  checki "queue drained" 0 (Engine.pending h.engine)
 
-let test_retransmit_recovers_from_drop_window () =
-  let e = Engine.create ~n:2 () in
-  let lossy, _ =
-    Nemesis.apply ~engine:e ~seed:1L
-      ~plan:
-        [
-          Nemesis.Drop
-            {
-              link = Nemesis.any_link;
-              prob = 1.0;
-              window = Nemesis.window ~from_t:0.0 ~until_t:12.0;
-            };
-        ]
-      ~base:(mk_base 2) ()
+let test_retransmit_recovers_from_drop_window over () =
+  let h =
+    over ~n:2
+      [
+        Nemesis.Drop
+          {
+            link = Nemesis.any_link;
+            prob = 1.0;
+            window = Nemesis.window ~from_t:0.0 ~until_t:12.0;
+          };
+      ]
   in
-  let model, stats = Retransmit.wrap lossy in
   let order = ref [] in
-  Engine.schedule e ~at:1.0 (fun () ->
+  Engine.schedule h.engine ~at:1.0 (fun () ->
       for i = 1 to 3 do
-        Model.send model e (msg ~src:0 ~dst:1 ()) ~arrive:(fun () -> order := i :: !order)
+        h.send ~src:0 ~dst:1 (fun () -> order := i :: !order)
       done);
-  Engine.run ~until:500.0 e;
+  Engine.run ~until:500.0 h.engine;
   Alcotest.(check (list int)) "all delivered in order after the window"
     [ 1; 2; 3 ] (List.rev !order);
-  checkb "recovery needed retransmits" true (stats.Retransmit.retransmits > 0);
-  checki "queue drained" 0 (Engine.pending e)
+  checkb "recovery needed retransmits" true (h.stats.Retransmit.retransmits > 0);
+  checki "queue drained" 0 (Engine.pending h.engine)
 
-let test_retransmit_restores_order () =
-  let e = Engine.create ~n:2 () in
+let test_retransmit_restores_order over () =
   (* Slow only the first send by 5 ms: it enters the base model after the
      second one and arrives out of order underneath the channel. *)
-  let lossy, _ =
-    Nemesis.apply ~engine:e ~seed:1L
-      ~plan:
-        [
-          Nemesis.Slow
-            {
-              link = Nemesis.any_link;
-              extra = 5.0;
-              window = Nemesis.window ~from_t:0.0 ~until_t:2.0;
-            };
-        ]
-      ~base:(mk_base 2) ()
+  let h =
+    over ~n:2
+      [
+        Nemesis.Slow
+          {
+            link = Nemesis.any_link;
+            extra = 5.0;
+            window = Nemesis.window ~from_t:0.0 ~until_t:2.0;
+          };
+      ]
   in
-  let model, stats = Retransmit.wrap lossy in
   let order = ref [] in
-  Engine.schedule e ~at:1.0 (fun () ->
-      Model.send model e (msg ~src:0 ~dst:1 ()) ~arrive:(fun () -> order := 1 :: !order));
-  Engine.schedule e ~at:3.0 (fun () ->
-      Model.send model e (msg ~src:0 ~dst:1 ()) ~arrive:(fun () -> order := 2 :: !order));
-  Engine.run ~until:100.0 e;
+  Engine.schedule h.engine ~at:1.0 (fun () ->
+      h.send ~src:0 ~dst:1 (fun () -> order := 1 :: !order));
+  Engine.schedule h.engine ~at:3.0 (fun () ->
+      h.send ~src:0 ~dst:1 (fun () -> order := 2 :: !order));
+  Engine.run ~until:100.0 h.engine;
   Alcotest.(check (list int)) "FIFO restored" [ 1; 2 ] (List.rev !order);
-  checkb "second frame was held" true (stats.Retransmit.held_out_of_order > 0)
+  checkb "second frame was held" true (h.stats.Retransmit.held_out_of_order > 0)
 
-let test_retransmit_purges_on_crash () =
-  let e = Engine.create ~n:2 () in
-  let lossy, _ =
-    Nemesis.apply ~engine:e ~seed:1L
-      ~plan:[ Nemesis.Drop { link = Nemesis.any_link; prob = 1.0; window = Nemesis.always } ]
-      ~base:(mk_base 2) ()
+let test_retransmit_purges_on_crash over () =
+  let h =
+    over ~n:2
+      [ Nemesis.Drop { link = Nemesis.any_link; prob = 1.0; window = Nemesis.always } ]
   in
-  let model, _ = Retransmit.wrap lossy in
   let arrived = ref 0 in
-  Engine.schedule e ~at:1.0 (fun () ->
-      Model.send model e (msg ~src:0 ~dst:1 ()) ~arrive:(fun () -> incr arrived));
-  Engine.crash_at e 1 ~at:20.0;
+  Engine.schedule h.engine ~at:1.0 (fun () ->
+      h.send ~src:0 ~dst:1 (fun () -> incr arrived));
+  Engine.crash_at h.engine 1 ~at:20.0;
   (* The destination is dead and every frame is dropped: without the
      crash-stop purge the retry loop would keep the queue non-empty
      forever and this horizon-less drain would never return. *)
-  Engine.run ~until:100.0 e;
-  Engine.run e;
+  Engine.run ~until:100.0 h.engine;
+  Engine.run h.engine;
   checki "nothing delivered" 0 !arrived;
-  checki "queue fully drained" 0 (Engine.pending e)
+  checki "queue fully drained" 0 (Engine.pending h.engine)
+
+(* A crashed process takes no steps, so it must not acknowledge either:
+   the frames go unacked and the sender's crash-stop purge retires them. *)
+let test_retransmit_crashed_receiver_silent over () =
+  let h = over ~n:2 [] in
+  let arrived = ref 0 in
+  Engine.crash_at h.engine 1 ~at:0.5;
+  Engine.schedule h.engine ~at:1.0 (fun () ->
+      for _ = 1 to 3 do
+        h.send ~src:0 ~dst:1 (fun () -> incr arrived)
+      done);
+  Engine.run h.engine;
+  checki "nothing delivered" 0 !arrived;
+  checki "no acks from the dead" 0 h.stats.Retransmit.acks_sent;
+  checki "queue drained" 0 (Engine.pending h.engine)
 
 let test_retransmit_validates_params () =
   Alcotest.check_raises "bad params"
@@ -248,6 +311,59 @@ let test_retransmit_validates_params () =
         (Retransmit.wrap
            ~params:{ Retransmit.default_params with backoff = 0.5 }
            (mk_base 2)))
+
+(* The wire-level channel under a whole protocol stack: indirect CT over
+   an ideal LAN, with a seeded drop/dup/delay interposer underneath
+   [install].  Pins the full trace, so any change to the channel's
+   sequencing, acking or retry schedule on the middleware path shows. *)
+let test_wire_stack_pinned () =
+  let config =
+    {
+      Stack.abcast_indirect with
+      setup = Stack.Ideal_lan { delay = 1.0; jitter = 0.0 };
+      fd_kind = Stack.Oracle 10.0;
+      seed = 3L;
+    }
+  in
+  let stack = Stack.create config in
+  let transport = stack.Stack.transport in
+  let plan =
+    [
+      Nemesis.Drop { link = Nemesis.any_link; prob = 0.15; window = Nemesis.always };
+      Nemesis.Duplicate { link = Nemesis.any_link; prob = 0.1; window = Nemesis.always };
+      Nemesis.Delay
+        { link = Nemesis.any_link; prob = 0.2; max_extra = 5.0; window = Nemesis.always };
+    ]
+  in
+  let mw, faults =
+    Nemesis.interposer ~env:(Transport.env transport) ~seed:9L ~plan ()
+  in
+  Transport.interpose transport mw;
+  let retx = Retransmit.install transport in
+  for i = 0 to 9 do
+    Engine.schedule stack.Stack.engine ~at:(1.0 +. (2.0 *. float_of_int i)) (fun () ->
+        ignore (Stack.abroadcast stack ~src:(i mod 3) ~body_bytes:16))
+  done;
+  Stack.run ~until:5_000.0 stack;
+  Test_util.assert_clean_verdict "wire stack"
+    (Checker.check_all_abcast (Test_util.checker_run stack));
+  checki "queue drained" 0 (Engine.pending stack.Stack.engine);
+  Alcotest.(check string) "trace digest" "2ff3b5ce4a1c62c18d598cd46492f801"
+    (Point.digest (Engine.trace stack.Stack.engine));
+  Alcotest.(check (list (pair string int))) "channel counters"
+    [
+      ("transmissions", 128);
+      ("retransmits", 36);
+      ("acks", 117);
+      ("dups-suppressed", 22);
+      ("held-out-of-order", 18);
+    ]
+    (Retransmit.stats_to_list retx);
+  Alcotest.(check (list (pair string int))) "fault counters"
+    [ ("drops", 40); ("dups", 23); ("delays", 38) ]
+    (List.filter
+       (fun (k, _) -> k = "drops" || k = "dups" || k = "delays")
+       (Model.Fault_stats.to_list faults))
 
 (* --- Scripted-rule fault counters (Stack.fault_counters) ------------------ *)
 
@@ -433,12 +549,28 @@ let suites =
     ( "retransmit",
       [
         Alcotest.test_case "lossless passthrough" `Quick
-          test_retransmit_lossless_passthrough;
+          (test_retransmit_lossless_passthrough over_wrap);
         Alcotest.test_case "recovers from drop window" `Quick
-          test_retransmit_recovers_from_drop_window;
-        Alcotest.test_case "restores FIFO order" `Quick test_retransmit_restores_order;
-        Alcotest.test_case "purges on crash" `Quick test_retransmit_purges_on_crash;
+          (test_retransmit_recovers_from_drop_window over_wrap);
+        Alcotest.test_case "restores FIFO order" `Quick
+          (test_retransmit_restores_order over_wrap);
+        Alcotest.test_case "purges on crash" `Quick
+          (test_retransmit_purges_on_crash over_wrap);
+        Alcotest.test_case "crashed receiver stays silent" `Quick
+          (test_retransmit_crashed_receiver_silent over_wrap);
         Alcotest.test_case "validates params" `Quick test_retransmit_validates_params;
+      ] );
+    ( "retransmit-wire",
+      [
+        Alcotest.test_case "lossless passthrough" `Quick
+          (test_retransmit_lossless_passthrough over_install);
+        Alcotest.test_case "recovers from drop window" `Quick
+          (test_retransmit_recovers_from_drop_window over_install);
+        Alcotest.test_case "restores FIFO order" `Quick
+          (test_retransmit_restores_order over_install);
+        Alcotest.test_case "purges on crash" `Quick
+          (test_retransmit_purges_on_crash over_install);
+        Alcotest.test_case "stack pinned" `Quick test_wire_stack_pinned;
       ] );
     ( "fault-accounting",
       [
