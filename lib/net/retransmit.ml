@@ -383,6 +383,9 @@ let install ?(params = default_params) transport =
   Transport.interpose_inbound transport (fun next ->
       fun (msg : Message.t) ->
         match msg.payload with
+        | Seq _ when not (env.Env.is_alive msg.dst) ->
+            (* A crashed destination takes no step: no delivery, no ack. *)
+            ()
         | Seq { seq; inner } ->
             let c = chan_for ~src:msg.src ~dst:msg.dst ~layer:msg.layer in
             let unwrapped =

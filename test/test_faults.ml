@@ -570,6 +570,8 @@ let suites =
           (test_retransmit_restores_order over_install);
         Alcotest.test_case "purges on crash" `Quick
           (test_retransmit_purges_on_crash over_install);
+        Alcotest.test_case "crashed receiver stays silent" `Quick
+          (test_retransmit_crashed_receiver_silent over_install);
         Alcotest.test_case "stack pinned" `Quick test_wire_stack_pinned;
       ] );
     ( "fault-accounting",
