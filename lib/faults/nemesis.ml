@@ -176,78 +176,99 @@ let shift plan ~by =
       | Crash { pid; at } -> Crash { pid; at = Time.( + ) at by })
     plan
 
+(* Scheduled clauses, shared by both planes: crashes of the pids [local]
+   admits, and partition/isolate trace markers when [markers] holds. *)
+let schedule_clauses ~env ~(stats : Model.Fault_stats.t) ~local ~markers plan =
+  let marker name window =
+    if markers then begin
+      env.Env.schedule ~at:window.from_t (fun () ->
+          env.Env.record 0 (Trace.Partition_start name));
+      if window.until_t < infinity then
+        env.Env.schedule ~at:window.until_t (fun () ->
+            env.Env.record 0 (Trace.Partition_heal name))
+    end
+  in
+  List.iter
+    (fun clause ->
+      match clause with
+      | Crash { pid; at } ->
+          if local pid then
+            env.Env.schedule ~at (fun () ->
+                if env.Env.is_alive pid then begin
+                  stats.crashes <- stats.crashes + 1;
+                  env.Env.crash pid
+                end)
+      | Partition { groups; window } -> marker (partition_name groups) window
+      | Isolate { pid; window; _ } ->
+          marker (Printf.sprintf "isolate(p%d)" pid) window
+      | Drop _ | Duplicate _ | Delay _ | Slow _ -> ())
+    plan
+
+(* The per-message fault decision, shared by both planes: the partition
+   cut, then [draw] from [rng], then drop, or [forward] once (twice when
+   duplicated) after any extra delay.  Every outcome is counted in [stats]
+   and recorded in the trace. *)
+let fate ~plan ~(stats : Model.Fault_stats.t) ~env ~rng ~forward (msg : Message.t) =
+  let now = env.Env.now () in
+  let record_drop () =
+    Model.Fault_stats.count_layer_drop stats (Message.layer_name msg);
+    env.Env.record msg.src (Trace.Net_drop msg.dst)
+  in
+  if cut_by_partition plan now msg then begin
+    stats.partition_drops <- stats.partition_drops + 1;
+    record_drop ()
+  end
+  else begin
+    let dropped, dup, extra =
+      draw ~plan ~rng ~now msg
+        ~on_delay:(fun () ->
+          stats.delays <- stats.delays + 1;
+          env.Env.record msg.src (Trace.Net_delay msg.dst))
+        ~on_slow:(fun () -> stats.slowdowns <- stats.slowdowns + 1)
+    in
+    if dropped then begin
+      stats.drops <- stats.drops + 1;
+      record_drop ()
+    end
+    else begin
+      let go () =
+        forward msg;
+        if dup then begin
+          stats.dups <- stats.dups + 1;
+          env.Env.record msg.src (Trace.Net_dup msg.dst);
+          forward msg
+        end
+      in
+      if extra > Time.zero then env.Env.schedule ~at:(Time.( + ) now extra) go
+      else go ()
+    end
+  end
+
 let apply ?engine ~seed ~plan ~base () =
   let rng = Rng.create seed in
   let stats = Model.Fault_stats.create () in
+  (* One model only ever runs on one engine: cache its [Env.t] rather than
+     rebuild it per message. *)
+  let env_slot = ref None in
+  let env_for engine =
+    match !env_slot with
+    | Some (e, env) when e == engine -> env
+    | _ ->
+        let env = Env.of_engine engine in
+        env_slot := Some (engine, env);
+        env
+  in
   (* Scheduled clauses (crashes, partition trace markers) need an engine at
      build time; probabilistic clauses do not — [engine] is optional so
      engineless harnesses (bench table builders) can still use lossy plans. *)
-  (match engine with
-  | None -> ()
-  | Some engine ->
-      List.iter
-        (fun clause ->
-          match clause with
-          | Crash { pid; at } ->
-              Engine.schedule engine ~at (fun () ->
-                  if Engine.is_alive engine pid then (
-                    stats.Model.Fault_stats.crashes <-
-                      stats.Model.Fault_stats.crashes + 1;
-                    Engine.crash engine pid))
-          | Partition { groups; window } ->
-              let name = partition_name groups in
-              Engine.schedule engine ~at:window.from_t (fun () ->
-                  Engine.record engine 0 (Trace.Partition_start name));
-              if window.until_t < infinity then
-                Engine.schedule engine ~at:window.until_t (fun () ->
-                    Engine.record engine 0 (Trace.Partition_heal name))
-          | Isolate { pid; window; _ } ->
-              let name = Printf.sprintf "isolate(p%d)" pid in
-              Engine.schedule engine ~at:window.from_t (fun () ->
-                  Engine.record engine 0 (Trace.Partition_start name));
-              if window.until_t < infinity then
-                Engine.schedule engine ~at:window.until_t (fun () ->
-                    Engine.record engine 0 (Trace.Partition_heal name))
-          | Drop _ | Duplicate _ | Delay _ | Slow _ -> ())
-        plan);
+  Option.iter
+    (fun engine ->
+      schedule_clauses ~env:(env_for engine) ~stats ~local:(fun _ -> true)
+        ~markers:true plan)
+    engine;
   let send engine msg ~arrive =
-    let now = Engine.now engine in
-    if cut_by_partition plan now msg then (
-      stats.Model.Fault_stats.partition_drops <-
-        stats.Model.Fault_stats.partition_drops + 1;
-      Model.Fault_stats.count_layer_drop stats (Message.layer_name msg);
-      Engine.record engine msg.Message.src (Trace.Net_drop msg.Message.dst))
-    else begin
-      let dropped, dup, extra =
-        draw ~plan ~rng ~now msg
-          ~on_delay:(fun () ->
-            stats.Model.Fault_stats.delays <-
-              stats.Model.Fault_stats.delays + 1;
-            Engine.record engine msg.Message.src
-              (Trace.Net_delay msg.Message.dst))
-          ~on_slow:(fun () ->
-            stats.Model.Fault_stats.slowdowns <-
-              stats.Model.Fault_stats.slowdowns + 1)
-      in
-      if dropped then begin
-        stats.Model.Fault_stats.drops <- stats.Model.Fault_stats.drops + 1;
-        Model.Fault_stats.count_layer_drop stats (Message.layer_name msg);
-        Engine.record engine msg.Message.src (Trace.Net_drop msg.Message.dst)
-      end
-      else begin
-        let forward () =
-          Model.send base engine msg ~arrive;
-          if dup then begin
-            stats.Model.Fault_stats.dups <- stats.Model.Fault_stats.dups + 1;
-            Engine.record engine msg.Message.src
-              (Trace.Net_dup msg.Message.dst);
-            Model.send base engine msg ~arrive
-          end
-        in
-        if extra > Time.zero then Engine.after engine ~delay:extra forward
-        else forward ()
-      end
-    end
+    fate ~plan ~stats ~env:(env_for engine) ~rng msg
+      ~forward:(fun msg -> Model.send base engine msg ~arrive)
   in
   let model =
     Model.make ~faults:stats
@@ -286,75 +307,9 @@ let interposer ?self ~env ~seed ~plan () =
      one place (the simulated world, or live node 0) so a merged trace
      carries each marker once. *)
   let markers = match self with None -> true | Some p -> p = 0 in
-  List.iter
-    (fun clause ->
-      match clause with
-      | Crash { pid; at } ->
-          if local pid then
-            env.Env.schedule ~at (fun () ->
-                if env.Env.is_alive pid then begin
-                  stats.Model.Fault_stats.crashes <-
-                    stats.Model.Fault_stats.crashes + 1;
-                  env.Env.crash pid
-                end)
-      | Partition { groups; window } ->
-          if markers then begin
-            let name = partition_name groups in
-            env.Env.schedule ~at:window.from_t (fun () ->
-                env.Env.record 0 (Trace.Partition_start name));
-            if window.until_t < infinity then
-              env.Env.schedule ~at:window.until_t (fun () ->
-                  env.Env.record 0 (Trace.Partition_heal name))
-          end
-      | Isolate { pid; window; _ } ->
-          if markers then begin
-            let name = Printf.sprintf "isolate(p%d)" pid in
-            env.Env.schedule ~at:window.from_t (fun () ->
-                env.Env.record 0 (Trace.Partition_start name));
-            if window.until_t < infinity then
-              env.Env.schedule ~at:window.until_t (fun () ->
-                  env.Env.record 0 (Trace.Partition_heal name))
-          end
-      | Drop _ | Duplicate _ | Delay _ | Slow _ -> ())
-    plan;
+  schedule_clauses ~env ~stats ~local ~markers plan;
   let middleware inner (msg : Message.t) =
-    let now = env.Env.now () in
-    if cut_by_partition plan now msg then begin
-      stats.Model.Fault_stats.partition_drops <-
-        stats.Model.Fault_stats.partition_drops + 1;
-      Model.Fault_stats.count_layer_drop stats (Message.layer_name msg);
-      env.Env.record msg.Message.src (Trace.Net_drop msg.Message.dst)
-    end
-    else begin
-      let rng = rng_for ~src:msg.Message.src ~dst:msg.Message.dst in
-      let dropped, dup, extra =
-        draw ~plan ~rng ~now msg
-          ~on_delay:(fun () ->
-            stats.Model.Fault_stats.delays <-
-              stats.Model.Fault_stats.delays + 1;
-            env.Env.record msg.Message.src (Trace.Net_delay msg.Message.dst))
-          ~on_slow:(fun () ->
-            stats.Model.Fault_stats.slowdowns <-
-              stats.Model.Fault_stats.slowdowns + 1)
-      in
-      if dropped then begin
-        stats.Model.Fault_stats.drops <- stats.Model.Fault_stats.drops + 1;
-        Model.Fault_stats.count_layer_drop stats (Message.layer_name msg);
-        env.Env.record msg.Message.src (Trace.Net_drop msg.Message.dst)
-      end
-      else begin
-        let forward () =
-          inner msg;
-          if dup then begin
-            stats.Model.Fault_stats.dups <- stats.Model.Fault_stats.dups + 1;
-            env.Env.record msg.Message.src (Trace.Net_dup msg.Message.dst);
-            inner msg
-          end
-        in
-        if extra > Time.zero then
-          env.Env.schedule ~at:(Time.( + ) now extra) forward
-        else forward ()
-      end
-    end
+    fate ~plan ~stats ~env ~rng:(rng_for ~src:msg.src ~dst:msg.dst) msg
+      ~forward:inner
   in
   (middleware, stats)
