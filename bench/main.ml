@@ -14,7 +14,7 @@
                                          # micro (combinable)
 
    The faults-live section runs the same seeded drop plans on forked
-   loopback clusters and writes BENCH_PR5.json.  Wall-clock, per-layer
+   loopback clusters and prints both backends side by side.  Wall-clock, per-layer
    and live figures come from the repository benchmark (perfbench/,
    declared by BENCHMARK.json); saturation knees and service points from
    `ics_cli bench` and `ics_cli service`. *)
@@ -339,77 +339,75 @@ let extension_scalability ~quick =
 
 (* --- Fault injection: the cost of lossy links ----------------------------- *)
 
+(* One lossy-link cell, shared by both fault sections: indirect CT (oracle
+   detector, 10 ms) at 200 msg/s of 64 B over a constant 1 ms base model,
+   a seeded per-frame drop nemesis and {!Retransmit.wrap}.  Returns the run
+   with the injected drops and the channel's counters. *)
+let lossy_cell ~quick ~nemesis_seed p =
+  let module Nemesis = Ics_faults.Nemesis in
+  let module Retransmit = Ics_net.Retransmit in
+  let fstats = ref None in
+  let rstats = ref None in
+  let setup =
+    Stack.Custom
+      {
+        name = Printf.sprintf "lossy-%.2f" p;
+        build =
+          (fun ~n ->
+            let base = Ics_net.Model.constant ~delay:1.0 ~n ~seed:4242L () in
+            let plan =
+              if p = 0.0 then []
+              else
+                [ Nemesis.Drop { link = Nemesis.any_link; prob = p; window = Nemesis.always } ]
+            in
+            let lossy, fs = Nemesis.apply ~seed:nemesis_seed ~plan ~base () in
+            let model, rs = Retransmit.wrap lossy in
+            fstats := Some fs;
+            rstats := Some rs;
+            (model, Ics_net.Host.instant));
+      }
+  in
+  let config =
+    { Stack.abcast_indirect with Stack.setup; fd_kind = Stack.Oracle 10.0 }
+  in
+  let scale = if quick then 0.25 else 1.0 in
+  let load =
+    {
+      Experiment.throughput = 200.0;
+      body_bytes = 64;
+      duration = 500.0 +. (scale *. 2_000.0);
+      warmup = 500.0;
+    }
+  in
+  let r = Experiment.run config load in
+  let drops =
+    match !fstats with
+    | Some fs -> Ics_net.Model.Fault_stats.total_drops fs
+    | None -> 0
+  in
+  (r, drops, Option.get !rstats)
+
 (* What does packet loss cost once the retransmission channel heals it?
    Latency should degrade gracefully with the drop probability (each lost
    frame costs ~one RTO), and the retransmit/ack overhead quantifies the
    bandwidth price of quasi-reliability over a fair-lossy link. *)
 let run_faults ~quick =
   section "Fault injection: lossy links healed by retransmission (indirect, n=3, 200 msg/s, 64B)";
-  let module Nemesis = Ics_faults.Nemesis in
-  let module Retransmit = Ics_net.Retransmit in
   let table =
     Table.create ~title:"per-frame drop probability vs delivery cost"
       ~columns:
         [ "drop-p"; "latency[ms]"; "retx/abcast"; "acks/abcast"; "drops"; "quiescent" ]
   in
-  let scale = if quick then 0.25 else 1.0 in
   List.iter
     (fun p ->
-      let fstats = ref None in
-      let rstats = ref None in
-      let setup =
-        Stack.Custom
-          {
-            name = Printf.sprintf "lossy-%.2f" p;
-            build =
-              (fun ~n ->
-                let base =
-                  Ics_net.Model.constant ~delay:1.0 ~n ~seed:4242L ()
-                in
-                let plan =
-                  if p = 0.0 then []
-                  else
-                    [
-                      Nemesis.Drop
-                        { link = Nemesis.any_link; prob = p; window = Nemesis.always };
-                    ]
-                in
-                let lossy, fs = Nemesis.apply ~seed:7L ~plan ~base () in
-                let model, rs = Retransmit.wrap lossy in
-                fstats := Some fs;
-                rstats := Some rs;
-                (model, Ics_net.Host.instant));
-          }
-      in
-      let config =
-        { Stack.abcast_indirect with Stack.setup; fd_kind = Stack.Oracle 10.0 }
-      in
-      let load =
-        {
-          Experiment.throughput = 200.0;
-          body_bytes = 64;
-          duration = 500.0 +. (scale *. 2_000.0);
-          warmup = 500.0;
-        }
-      in
-      let r = Experiment.run config load in
+      let r, drops, rs = lossy_cell ~quick ~nemesis_seed:7L p in
       let ab = float_of_int (max 1 r.Experiment.abroadcasts) in
-      let retx, acks =
-        match !rstats with
-        | Some s -> (s.Retransmit.retransmits, s.Retransmit.acks_sent)
-        | None -> (0, 0)
-      in
-      let drops =
-        match !fstats with
-        | Some fs -> Ics_net.Model.Fault_stats.total_drops fs
-        | None -> 0
-      in
       Table.add_row table
         [
           Printf.sprintf "%.2f" p;
           Printf.sprintf "%.3f" r.Experiment.latency.Stats.mean;
-          Printf.sprintf "%.2f" (float_of_int retx /. ab);
-          Printf.sprintf "%.2f" (float_of_int acks /. ab);
+          Printf.sprintf "%.2f" (float_of_int rs.Ics_net.Retransmit.retransmits /. ab);
+          Printf.sprintf "%.2f" (float_of_int rs.Ics_net.Retransmit.acks_sent /. ab);
           string_of_int drops;
           string_of_bool r.Experiment.quiescent;
         ])
@@ -433,7 +431,6 @@ let run_faults_live ~quick =
   section
     "Fault injection, live backend: seeded drops on loopback TCP (indirect, n=3, 64B)";
   let module Nemesis = Ics_faults.Nemesis in
-  let module Retransmit = Ics_net.Retransmit in
   let module Profile = Ics_core.Profile in
   let drop_plan p =
     if p = 0.0 then []
@@ -441,47 +438,11 @@ let run_faults_live ~quick =
   in
   let total key l = Option.value ~default:0 (List.assoc_opt key l) in
   let sim_cell p =
-    let fstats = ref None in
-    let rstats = ref None in
-    let setup =
-      Stack.Custom
-        {
-          name = Printf.sprintf "live-cmp-lossy-%.2f" p;
-          build =
-            (fun ~n ->
-              let base = Ics_net.Model.constant ~delay:1.0 ~n ~seed:4242L () in
-              let lossy, fs = Nemesis.apply ~seed:42L ~plan:(drop_plan p) ~base () in
-              let model, rs = Retransmit.wrap lossy in
-              fstats := Some fs;
-              rstats := Some rs;
-              (model, Ics_net.Host.instant));
-        }
-    in
-    let config =
-      { Stack.abcast_indirect with Stack.setup; fd_kind = Stack.Oracle 10.0 }
-    in
-    let scale = if quick then 0.25 else 1.0 in
-    let load =
-      {
-        Experiment.throughput = 200.0;
-        body_bytes = 64;
-        duration = 500.0 +. (scale *. 2_000.0);
-        warmup = 500.0;
-      }
-    in
-    let r = Experiment.run config load in
+    let r, drops, rs = lossy_cell ~quick ~nemesis_seed:42L p in
     let ab = float_of_int (max 1 r.Experiment.abroadcasts) in
-    let retx =
-      match !rstats with Some s -> s.Retransmit.retransmits | None -> 0
-    in
-    let drops =
-      match !fstats with
-      | Some fs -> Ics_net.Model.Fault_stats.total_drops fs
-      | None -> 0
-    in
     ( r.Experiment.latency.Stats.mean,
       drops,
-      float_of_int retx /. ab,
+      float_of_int rs.Ics_net.Retransmit.retransmits /. ab,
       r.Experiment.quiescent )
   in
   let live_cell p =
@@ -574,25 +535,7 @@ let run_faults_live ~quick =
     Format.printf
       "expectation: both columns degrade gracefully with drop-p and stay@.\
        checker-green; retransmits track the loss rate on each backend.@."
-  end;
-  let oc = open_out "BENCH_PR5.json" in
-  let row_json =
-    String.concat ",\n"
-      (List.map
-         (fun (p, (smean, sdrops, sretx, squiet), (lmean, lp95, ldrops, lretx, lok)) ->
-           Printf.sprintf
-             {|    {"drop_p": %.2f,
-     "sim": {"latency_mean_ms": %.3f, "drops": %d, "retx_per_abcast": %.2f, "quiescent": %b},
-     "live": {"latency_mean_ms": %.2f, "latency_p95_ms": %.2f, "drops": %d, "retx_per_abcast": %.2f, "checker_ok": %b}}|}
-             p smean sdrops sretx squiet lmean lp95 ldrops lretx lok)
-         rows)
-  in
-  Printf.fprintf oc
-    "{\n  \"workload\": {\"n\": 3, \"ordering\": \"indirect\", \"body_bytes\": 64},\n\
-    \  \"faults_live\": [\n%s\n  ]\n}\n"
-    row_json;
-  close_out oc;
-  Format.printf "wrote BENCH_PR5.json@."
+  end
 
 (* --- Claim verification --------------------------------------------------- *)
 
