@@ -44,7 +44,7 @@ jobs-smoke:
 # cell, so the S2.2 ct-on-ids counterexample must reproduce on the live
 # backend too.
 chaos-live-smoke:
-	dune exec bin/ics_cli.exe -- chaos --live --seeds 1 --stacks ct-indirect,ct-on-ids --plans drop,blackout; $(SKIP_NO_SOCKETS)
+	dune exec bin/ics_cli.exe -- chaos --live --seeds 1 --stacks ct-indirect,ct-on-ids --plans drop,mixed,blackout; $(SKIP_NO_SOCKETS)
 
 # Live 3-node loopback cluster, checker-verified.
 cluster-smoke:
