@@ -11,10 +11,20 @@
     {!Trace.Net_delay}, {!Trace.Partition_start}/[_heal]) and counted in
     the returned {!Model.Fault_stats}.
 
+    {!interposer} compiles the same plan into transport middleware for
+    either backend.  Both planes share one clause scheduler and one
+    per-message fate (partition cut, draws, drop/dup/delay, counters,
+    trace records); they differ only in the RNG the fate draws from (one
+    plan-order stream for {!apply}, per-link streams for {!interposer})
+    and in the next hop (the base model, or the downstream middleware).
+    {!apply} stays because the pinned simulator chaos fingerprints are
+    defined by its single stream.
+
     The nemesis models a {e fair-lossy} environment: it may lose, duplicate,
     reorder (via random extra delay) and slow messages, but it never
     corrupts them and never forges them.  Layer it under {!Retransmit.wrap}
-    to recover the quasi-reliable channels the protocol stack assumes. *)
+    (or {!Retransmit.install} under the interposer) to recover the
+    quasi-reliable channels the protocol stack assumes. *)
 
 module Engine = Ics_sim.Engine
 module Time = Ics_sim.Time

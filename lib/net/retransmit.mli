@@ -11,9 +11,15 @@
     and both consensus algorithms run unmodified over the lossy models
     produced by [Ics_faults.Nemesis].
 
-    Retransmission timers consult {!Engine.horizon} and stop rescheduling
-    past it, and purge their window when either endpoint has crashed
-    (crash-stop), so wrapped runs still quiesce. *)
+    The go-back-N state machine is written once, against {!Env.t}, and
+    has two adapters that differ only in how a frame and an ack reach the
+    wire: {!wrap} (a {!Model.t} wrapper, for the simulator's model-level
+    fault plane) and {!install} (transport middleware with wire-encodable
+    {!Seq}/{!Ack} frames, for either backend).  Both behave alike:
+    retransmission timers consult the horizon and stop rescheduling past
+    it, and purge their window when either endpoint has crashed
+    (crash-stop), so runs still quiesce; a crashed destination neither
+    delivers nor acks. *)
 
 module Engine = Ics_sim.Engine
 module Time = Ics_sim.Time
@@ -40,8 +46,10 @@ val stats_to_list : stats -> (string * int) list
 
 type Message.payload += Ack of { upto : int }
 (** Cumulative acknowledgement: every sequence number [< upto] on this
-    channel has been received.  Travels on the unregistered ["retx-ack"]
-    layer through the base model (and is itself subject to its losses). *)
+    channel has been received.  Under {!wrap} it travels on the
+    unregistered ["retx-ack"] layer through the base model, under
+    {!install} on the data's own layer through the downstream middleware;
+    either way it is itself subject to the link's losses. *)
 
 type Message.payload += Seq of { seq : int; inner : Message.payload }
 (** A sequenced data frame of the wire-level channel ({!install}): the

@@ -98,10 +98,14 @@ val run_one :
     to the verdict — a cell where ordered commands never take effect then
     fails semantically, not just at the message level.  [retransmit]
     (default true) heals the faulted wire —
-    {!Ics_net.Retransmit.wrap} over the nemesis model in simulation, the
-    acknowledged wire channel ({!Ics_net.Retransmit.install}) on live
-    nodes; [n] defaults per stack ({!default_n}).  Runs through
-    {!Point.run}.
+    {!Ics_net.Retransmit.wrap} over {!Ics_faults.Nemesis.apply} in
+    simulation, the acknowledged wire channel
+    ({!Ics_net.Retransmit.install}) over {!Ics_faults.Nemesis.interposer}
+    on live nodes.  Each pair shares one channel core and one fault
+    decision; the simulation draws one plan-order RNG stream, live nodes
+    per-link streams, so a seed's fault pattern differs between backends
+    (the pinned sim fingerprints are the simulation's).  [n] defaults per
+    stack ({!default_n}).  Runs through {!Point.run}.
     @raise Failure on [`Live] when {!Ics_runtime.Cluster.supported} is
     false. *)
 
