@@ -184,6 +184,17 @@ let ack t io c =
   t.stats.acks_sent <- t.stats.acks_sent + 1;
   io.send_ack c ~upto:c.expected
 
+(* The ack frame itself, from [c]'s receiver back to its sender. *)
+let ack_msg t io c ~layer ~upto =
+  {
+    Message.src = c.c_dst;
+    dst = c.c_src;
+    layer;
+    payload = Ack { upto };
+    body_bytes = t.params.ack_bytes;
+    sent_at = io.env.Env.now ();
+  }
+
 (* Receiver, running when a (possibly duplicated, possibly stale) frame
    reaches the destination; [release] hands it to the layer above.  A
    crashed destination takes no step, so it neither delivers nor acks. *)
@@ -239,17 +250,8 @@ let wrap ?(params = default_params) base =
             env = Env.of_engine engine;
             send_ack =
               (fun c ~upto ->
-                let ack =
-                  {
-                    Message.src = c.c_dst;
-                    dst = c.c_src;
-                    layer = ack_layer;
-                    payload = Ack { upto };
-                    body_bytes = params.ack_bytes;
-                    sent_at = Engine.now engine;
-                  }
-                in
-                Model.send base engine ack ~arrive:(fun () -> on_ack t io c ~upto));
+                Model.send base engine (ack_msg t io c ~layer:ack_layer ~upto)
+                  ~arrive:(fun () -> on_ack t io c ~upto));
           }
         in
         io_slot := Some (engine, io);
@@ -285,21 +287,10 @@ let install ?(params = default_params) transport =
      they are exposed to exactly the same link faults as first
      transmissions — a lost ack is recovered by the sender's timer. *)
   let downstream = ref (fun (_ : Message.t) -> ()) in
-  let env = Transport.env transport in
-  let io =
+  let rec io =
     {
-      env;
-      send_ack =
-        (fun c ~upto ->
-          !downstream
-            {
-              Message.src = c.c_dst;
-              dst = c.c_src;
-              layer = c.c_layer;
-              payload = Ack { upto };
-              body_bytes = params.ack_bytes;
-              sent_at = env.Env.now ();
-            });
+      env = Transport.env transport;
+      send_ack = (fun c ~upto -> !downstream (ack_msg t io c ~layer:c.c_layer ~upto));
     }
   in
   Transport.interpose transport (fun inner ->
