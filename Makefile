@@ -65,12 +65,19 @@ service-smoke:
 	dune exec bin/ics_cli.exe -- service --clients 200 --requests 3 --replay-check
 	dune exec bin/ics_cli.exe -- service --clients 200 --requests 3 --live; $(SKIP_NO_SOCKETS)
 
-# One-second runs of the two simulator benchmark workloads.  Each run
-# checks its own pins (the sim-paper latency fingerprint, the sim-service
-# default-seed state hash) and the checker batteries, and reports them
-# as "correct" in the JSON summary on its last stdout line.
+# One-second runs of the three benchmark workloads.  Each run checks its
+# own pins (the sim-paper latency fingerprint, the sim-service
+# default-seed state hash) and the checker batteries — live-service also
+# a clean barrier exit on every node and replica state-hash agreement —
+# and reports them as "correct" in the JSON summary on its last stdout
+# line.  live-service is skipped where loopback sockets are unavailable.
+LOOPBACK_OK = python3 -c 'import socket; s = socket.socket(); s.bind(("127.0.0.1", 0)); s.listen(1)' 2>/dev/null
+
 bench-smoke:
-	@for w in sim-paper sim-service; do \
+	@for w in sim-paper sim-service live-service; do \
+	  if [ $$w = live-service ] && ! $(LOOPBACK_OK); then \
+	    echo "bench-smoke: live-service skipped (no loopback sockets)"; continue; \
+	  fi; \
 	  out=$$(python3 perfbench/run.py --workload $$w --seconds 1) || exit 1; \
 	  last=$$(printf '%s\n' "$$out" | tail -n 1); \
 	  echo "$$w: $$last"; \

@@ -15,33 +15,9 @@ module Saturation = Ics_workload.Saturation
 module Node = Ics_runtime.Node
 module Cluster = Ics_runtime.Cluster
 module Trace_io = Ics_runtime.Trace_io
+module Socket_transport = Ics_runtime.Socket_transport
 module Table = Ics_prelude.Table
 module Stats = Ics_prelude.Stats
-
-(* Profile flags are not written by hand: every command that takes a
-   stack shape (and, for the live commands, a workload) folds the
-   relevant [Profile.specs] rows into one cmdliner term.  Adding a knob
-   to the profile adds the flag to every command at once. *)
-let profile_term ?(specs = Profile.specs) base =
-  List.fold_left
-    (fun term (spec : Profile.spec) ->
-      let arg =
-        Arg.(
-          value
-          & opt (some string) None
-          & info spec.Profile.keys ~docv:spec.Profile.docv ~doc:spec.Profile.doc)
-      in
-      let apply profile = function
-        | None -> profile
-        | Some value -> (
-            match spec.Profile.set profile value with
-            | Ok profile -> profile
-            | Error msg ->
-                Format.eprintf "ics-cli: %s@." msg;
-                exit 2)
-      in
-      Term.(const apply $ term $ arg))
-    (Term.const base) specs
 
 let setup_conv =
   Arg.enum
@@ -103,7 +79,7 @@ let run_cmd =
                 busiest)));
     if not r.Experiment.quiescent then exit 2
   in
-  let profile = profile_term ~specs:Profile.stack_specs Profile.default in
+  let profile = Cli_terms.profile_term ~specs:Profile.stack_specs Profile.default in
   let setup =
     Arg.(value & opt setup_conv Stack.Setup1 & info [ "setup" ] ~doc:"setup1, setup2 or ideal.")
   in
@@ -222,7 +198,7 @@ let trace_cmd =
         (Stack.describe stack)
     end
   in
-  let profile = profile_term ~specs:Profile.stack_specs Profile.default in
+  let profile = Cli_terms.profile_term ~specs:Profile.stack_specs Profile.default in
   let messages = Arg.(value & opt int 2 & info [ "messages" ] ~doc:"How many abroadcasts.") in
   let crash =
     Arg.(value & opt (some int) None & info [ "crash" ] ~doc:"Crash this process at t=10ms.")
@@ -237,35 +213,9 @@ let trace_cmd =
    clusters judged by the same checker. *)
 
 let chaos_cmd =
-  let exec seeds seed_base n stacks plans batch pipeline flush no_retransmit
-      app live replay_check jobs jobs_check verbose =
-    let batching = { Abcast.batch; pipeline; flush_ms = flush } in
-    if batch < 1 || pipeline < 1 || flush < 0.0 then begin
-      Format.eprintf "chaos: --batch/--pipeline must be >= 1, --flush >= 0@.";
-      exit 2
-    end;
-    let parse_csv ~what ~of_string ~all s =
-      if s = "all" then all
-      else
-        String.split_on_char ',' s
-        |> List.map String.trim
-        |> List.filter (fun s -> s <> "")
-        |> List.map (fun name ->
-               match of_string name with
-               | Some v -> v
-               | None ->
-                   Format.eprintf "unknown %s %s@." what name;
-                   exit 1)
-    in
-    let stacks =
-      parse_csv ~what:"stack" ~of_string:Chaos.stack_of_string
-        ~all:Chaos.all_stacks stacks
-    in
-    let plans =
-      parse_csv ~what:"plan" ~of_string:Chaos.plan_of_string
-        ~all:Chaos.all_plans plans
-    in
-    let backend = if live then `Live else `Sim in
+  let exec { Cli_terms.stacks; plans; seeds; seed_base; n; batching; app; retransmit; backend }
+      replay_check jobs jobs_check verbose =
+    let live = backend = `Live in
     if live && not (Cluster.supported ()) then begin
       Format.eprintf "chaos: skip: loopback sockets unavailable in this environment@.";
       exit 2
@@ -282,7 +232,7 @@ let chaos_cmd =
       if verbose then fun s -> Format.eprintf "  %s@." s else fun _ -> ()
     in
     let cells =
-      Chaos.sweep ~backend ~batching ~app ~retransmit:(not no_retransmit) ?n
+      Chaos.sweep ~backend ~batching ~app ~retransmit ?n
         ~seed_base ~seeds ~progress ~jobs ~stacks ~plans ()
     in
     Chaos.report ~verbose Format.std_formatter cells;
@@ -295,7 +245,7 @@ let chaos_cmd =
          the requested width must agree on every run's fingerprint, not
          just on the failures the matrix shows. *)
       let fingerprints j =
-        Chaos.sweep_results ~batching ~app ~retransmit:(not no_retransmit) ?n
+        Chaos.sweep_results ~batching ~app ~retransmit ?n
           ~seed_base ~seeds ~jobs:j ~stacks ~plans ()
         |> List.concat_map (fun (_, results) ->
                List.map (fun r -> r.Chaos.fingerprint) results)
@@ -322,7 +272,7 @@ let chaos_cmd =
            (fault counters are; the sweep above already used them)@."
       else
         let mismatches =
-          Chaos.replay_check ~batching ~app ~retransmit:(not no_retransmit) ?n
+          Chaos.replay_check ~batching ~app ~retransmit ?n
             ~seed_base ~jobs ~stacks ~plans ()
         in
         match mismatches with
@@ -357,71 +307,6 @@ let chaos_cmd =
       Format.printf "FAIL: an indirect stack violated its properties@.";
       exit 1
     end
-  in
-  let seeds =
-    Arg.(value & opt int 100 & info [ "seeds" ] ~doc:"Seeds per (stack, plan) cell.")
-  in
-  let seed_base =
-    Arg.(value & opt int64 1L & info [ "seed-base" ] ~doc:"First seed; cell seeds are base..base+seeds-1.")
-  in
-  let n =
-    Arg.(value & opt (some int) None & info [ "n" ] ~doc:"Override the per-stack process count.")
-  in
-  let stacks =
-    Arg.(
-      value & opt string "all"
-      & info [ "stacks" ] ~doc:"Comma-separated: ct-indirect, mr-indirect, ct-on-ids; or 'all'.")
-  in
-  let plans =
-    Arg.(
-      value & opt string "all"
-      & info [ "plans" ]
-          ~doc:"Comma-separated: drop, dup, reorder, partition, storm, blackout, mixed; or 'all'.")
-  in
-  let batch =
-    Arg.(
-      value & opt int 1
-      & info [ "batch" ]
-          ~doc:"Fresh ids that trigger a consensus proposal (1 = seed behaviour).")
-  in
-  let pipeline =
-    Arg.(
-      value & opt int 1
-      & info [ "pipeline" ]
-          ~doc:"Concurrent consensus instances (commits stay in instance order).")
-  in
-  let flush =
-    Arg.(
-      value
-      & opt float Abcast.no_batching.Abcast.flush_ms
-      & info [ "flush" ] ~doc:"Batch flush timer, ms.")
-  in
-  let no_retransmit =
-    Arg.(
-      value & flag
-      & info [ "no-retransmit" ]
-          ~doc:"Run directly over the lossy links, without the retransmission channel.")
-  in
-  let app_flag =
-    Arg.(
-      value & flag
-      & info [ "app" ]
-          ~doc:
-            "Host the replicated KV/ledger machine on every cell's \
-             broadcasts and add the application battery (dedup, order, \
-             state-hash agreement, progress) to each verdict: a cell \
-             where ordered commands never take effect fails semantically, \
-             not just at the message level.")
-  in
-  let live =
-    Arg.(
-      value & flag
-      & info [ "live" ]
-          ~doc:
-            "Run each cell as a forked loopback-TCP cluster instead of a \
-             simulation: the same seeded plan drives each node's transport \
-             interposer and the merged trace goes through the same checker. \
-             Exit 2 when the environment cannot create loopback sockets.")
   in
   let replay_check =
     Arg.(
@@ -460,9 +345,8 @@ let chaos_cmd =
     (Cmd.info "chaos"
        ~doc:"Seeded fault-injection sweep (stacks x fault plans x seeds), simulated or live")
     Term.(
-      const exec $ seeds $ seed_base $ n $ stacks $ plans $ batch $ pipeline
-      $ flush $ no_retransmit $ app_flag $ live $ replay_check $ jobs
-      $ jobs_check $ verbose)
+      const exec $ Cli_terms.chaos_cells $ replay_check $ jobs $ jobs_check
+      $ verbose)
 
 (* Live runtime: `cluster` forks a real loopback-TCP cluster and checks
    the merged delivery logs; `node` runs a single process of one (for
@@ -473,6 +357,29 @@ let pp_latency ppf (l : Cluster.latency) =
   Format.fprintf ppf "mean=%.2f ms p95=%.2f ms p99=%.2f ms max=%.2f ms (%d samples)"
     l.Cluster.mean_ms l.Cluster.p95_ms l.Cluster.p99_ms l.Cluster.max_ms
     l.Cluster.samples
+
+(* Transport cost and timer health from a [net.] counter list — one
+   node's, or a cluster's summed over nodes. *)
+let pp_net ppf net =
+  let get k = Option.value ~default:0 (List.assoc_opt k net) in
+  let per a b = if b = 0 then 0.0 else float_of_int a /. float_of_int b in
+  let bounds = Socket_transport.timer_late_bounds_us in
+  let quantile q =
+    match Socket_transport.late_quantile_us net q with
+    | None -> "-"
+    | Some b when Float.is_finite b -> Printf.sprintf "<=%.0f us" b
+    | Some _ -> Printf.sprintf ">%d us" bounds.(Array.length bounds - 1)
+  in
+  Format.fprintf ppf
+    "net: %d frames out (%d B) in %d writes (%.2f frames/write), %d frames in \
+     (%d B), %d decode errors@\n\
+     timers: %d due, mean lateness %.0f us (p50 %s, p90 %s); %d polls, %d \
+     timed out"
+    (get "frames_out") (get "bytes_out") (get "writes_out")
+    (per (get "frames_out") (get "writes_out"))
+    (get "frames_in") (get "bytes_in") (get "decode_errors") (get "timers_due")
+    (per (get "timer_late_us") (get "timers_due"))
+    (quantile 0.5) (quantile 0.9) (get "polls") (get "poll_timeouts")
 
 let cluster_cmd =
   let exec profile keep_dir use_exec =
@@ -504,11 +411,12 @@ let cluster_cmd =
         | None -> ());
         Format.printf "throughput: %.0f msg/s over %.1f ms (%d trace events)@."
           o.Cluster.throughput_msg_s o.Cluster.duration_ms o.Cluster.events;
+        Format.printf "%a@." pp_net o.Cluster.net;
         if keep_dir then Format.printf "traces: %s@." o.Cluster.trace_dir;
         Format.printf "checker: %a@." Ics_checker.Checker.pp_verdict o.Cluster.verdict;
         if not (Cluster.ok o) then exit 1
   in
-  let profile = profile_term Profile.default in
+  let profile = Cli_terms.profile_term Profile.default in
   let keep_dir =
     Arg.(value & flag & info [ "keep-traces" ] ~doc:"Keep the per-node trace files.")
   in
@@ -600,12 +508,7 @@ let node_cmd =
     | None -> ());
     Format.printf "node %d: %d/%d adelivered, %s@." self r.Node.delivered r.Node.expected
       (if r.Node.clean_exit then "all nodes done" else "deadline hit");
-    Format.printf "net: %d frames out (%d B), %d frames in (%d B), %d decode errors@."
-      r.Node.net.Ics_runtime.Socket_transport.frames_out
-      r.Node.net.Ics_runtime.Socket_transport.bytes_out
-      r.Node.net.Ics_runtime.Socket_transport.frames_in
-      r.Node.net.Ics_runtime.Socket_transport.bytes_in
-      r.Node.net.Ics_runtime.Socket_transport.decode_errors;
+    Format.printf "%a@." pp_net (Socket_transport.stats_to_list r.Node.net);
     if not r.Node.clean_exit then exit 10
   in
   let self =
@@ -618,7 +521,7 @@ let node_cmd =
       & info [ "ports" ] ~docv:"P0,P1,..."
           ~doc:"Comma-separated loopback ports, one per node; index $(b,--self) is ours.")
   in
-  let profile = profile_term Profile.default in
+  let profile = Cli_terms.profile_term Profile.default in
   let epoch =
     Arg.(
       value
@@ -751,7 +654,7 @@ let bench_cmd =
       exit 1
     end
   in
-  let profile = profile_term ~specs:Profile.stack_specs Profile.default in
+  let profile = Cli_terms.profile_term ~specs:Profile.stack_specs Profile.default in
   let offered =
     Arg.(
       value

@@ -200,6 +200,11 @@ let stack_specs =
       ();
   ]
 
+let batching_specs =
+  List.filter
+    (fun spec -> List.mem (List.hd spec.keys) [ "batch"; "pipeline"; "flush" ])
+    stack_specs
+
 let workload_specs =
   [
     int_spec ~keys:[ "count" ] ~doc:"A-broadcasts per node."

@@ -91,6 +91,10 @@ val stack_specs : spec list
 (** Shape flags: [--n]/[--nodes], [--algo], [--ordering],
     [--broadcast]/[--dissemination], [--batch], [--pipeline], [--flush]. *)
 
+val batching_specs : spec list
+(** The [--batch], [--pipeline] and [--flush] rows of {!stack_specs}:
+    the knobs of {!batching}. *)
+
 val workload_specs : spec list
 (** Live workload flags: [--count], [--size], [--gap], [--warmup],
     [--hb-period], [--hb-timeout], [--timeout] (seconds). *)

@@ -53,6 +53,8 @@ type outcome = {
   events : int;
   faults : (string * int) list;  (** per-node fault counters, summed *)
   retx : (string * int) list;
+  net : (string * int) list;  (** socket-loop counters, summed *)
+  gc : (string * int) list;  (** per-node GC counters, summed *)
   trace_dir : string;
 }
 
@@ -342,6 +344,8 @@ let run config =
         events = Trace.length merged;
         faults = split_kv "fault." totals;
         retx = split_kv "retx." totals;
+        net = split_kv "net." totals;
+        gc = split_kv "gc." totals;
         trace_dir = dir;
       }
     in

@@ -68,6 +68,12 @@ type outcome = {
       (** per-node fault counters summed; for a seeded plan these equal
           the counters one simulation of the same plan produces *)
   retx : (string * int) list;  (** wire retransmission counters, summed *)
+  net : (string * int) list;
+      (** socket-loop counters ({!Socket_transport.stats_to_list}) summed
+          across nodes: frames and bytes each way, write(2) calls, decode
+          errors, ppoll(2) calls and timeouts, due-timer lateness *)
+  gc : (string * int) list;
+      (** [minor_words] and [top_heap_words] summed across nodes *)
   trace_dir : string;
 }
 

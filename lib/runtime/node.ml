@@ -61,16 +61,24 @@ type result = {
   expected : int;
   clean_exit : bool;  (** finished via the all-done barrier, not the deadline *)
   net : Socket_transport.stats;
+  gc : Gc.stat;  (** taken as the loop exits *)
   faults : (string * int) list;  (** this node's outbound-link fault counters *)
   retx : (string * int) list;
   trace : Ics_sim.Trace.t;
 }
 
-(* Both counter families in one flat list, prefixed so the cluster parent
+(* Every counter family in one flat list, prefixed so the cluster parent
    can split them apart again after summing across nodes. *)
 let result_kv r =
-  List.map (fun (k, v) -> ("fault." ^ k, v)) r.faults
-  @ List.map (fun (k, v) -> ("retx." ^ k, v)) r.retx
+  let prefix p = List.map (fun (k, v) -> (p ^ k, v)) in
+  prefix "fault." r.faults
+  @ prefix "retx." r.retx
+  @ prefix "net." (Socket_transport.stats_to_list r.net)
+  @ prefix "gc."
+      [
+        ("minor_words", int_of_float r.gc.Gc.minor_words);
+        ("top_heap_words", r.gc.Gc.top_heap_words);
+      ]
 
 let run ~epoch ~listen ~peer_addrs config =
   let p = config.profile in
@@ -166,6 +174,7 @@ let run ~epoch ~listen ~peer_addrs config =
     else not (Engine.is_alive engine config.self)
   in
   Socket_transport.run st ~deadline:p.Profile.deadline_ms ~stop;
+  let gc = Gc.quick_stat () in
   let clean = all_done () in
   Socket_transport.close st;
   {
@@ -173,6 +182,7 @@ let run ~epoch ~listen ~peer_addrs config =
     expected;
     clean_exit = clean;
     net = Socket_transport.stats st;
+    gc;
     faults =
       (match fstats with Some s -> Model.Fault_stats.to_list s | None -> []);
     retx =

@@ -53,6 +53,7 @@ type result = {
   expected : int;
   clean_exit : bool;  (** finished via the all-done barrier, not the deadline *)
   net : Socket_transport.stats;
+  gc : Gc.stat;  (** {!Gc.quick_stat} as the event loop exits *)
   faults : (string * int) list;
       (** this node's outbound-link fault counters; summed across a
           cluster they equal the one-simulation counters for the same
@@ -62,8 +63,11 @@ type result = {
 }
 
 val result_kv : result -> (string * int) list
-(** Fault and retransmission counters as one flat ["fault."]/["retx."]
-    prefixed list — the stats-file format a {!Cluster} parent sums. *)
+(** Fault, retransmission, loop and GC counters as one flat list,
+    prefixed ["fault."], ["retx."], ["net."]
+    ({!Socket_transport.stats_to_list}) and ["gc."] ([minor_words],
+    [top_heap_words]) — the stats-file format a {!Cluster} parent
+    sums. *)
 
 val run :
   epoch:float ->

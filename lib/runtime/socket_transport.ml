@@ -23,7 +23,7 @@ module Prim = Ics_codec.Prim
    knee. *)
 module Bq = Ics_codec.Bq
 
-(* Persistent pollset over poll(2).  The fds/events/revents arrays live
+(* Persistent pollset over ppoll(2).  The fds/events/revents arrays live
    across loop iterations — readiness interest is flipped in place when
    a queue's occupancy changes, never rebuilt per iteration (the select
    loop this replaces re-assembled its fd lists on every pass).  Slots
@@ -111,8 +111,8 @@ module Poll = struct
 
   (* Negative return = transient failure (EINTR): report zero ready and
      let the loop re-evaluate its timers, as the select loop did. *)
-  let wait t ~timeout_ms =
-    let r = poll_fds t.fds t.events t.revents t.n timeout_ms in
+  let wait t ~timeout_us =
+    let r = poll_fds t.fds t.events t.revents t.n timeout_us in
     if r < 0 then 0 else r
 
   (* Snapshot the ready owners before dispatching any of them: dispatch
@@ -158,6 +158,11 @@ type t = {
   mutable frames_in : int;
   mutable bytes_in : int;
   mutable decode_errors : int;
+  mutable polls : int;
+  mutable poll_timeouts : int;
+  mutable timers_due : int;
+  mutable timer_late_us : int;
+  timer_late_hist : int array;
 }
 
 let transport t = Option.get t.transport
@@ -350,6 +355,18 @@ let dial addr ~attempts ~retry_delay =
   in
   go 0
 
+(* Due-timer lateness histogram: slot [i] counts timers late by at most
+   [timer_late_bounds_us.(i)], the last slot the rest. *)
+let timer_late_bounds_us = [| 25; 50; 75; 100; 150; 200; 300; 500; 1000; 2000 |]
+
+let note_late t late_us =
+  t.timers_due <- t.timers_due + 1;
+  t.timer_late_us <- t.timer_late_us + late_us;
+  let nb = Array.length timer_late_bounds_us in
+  let rec slot i = if i = nb || late_us <= timer_late_bounds_us.(i) then i else slot (i + 1) in
+  let i = slot 0 in
+  t.timer_late_hist.(i) <- t.timer_late_hist.(i) + 1
+
 let create ~engine ~clock ~self ~listen ~peer_addrs () =
   let n = Engine.n engine in
   if Array.length peer_addrs <> n then
@@ -384,6 +401,11 @@ let create ~engine ~clock ~self ~listen ~peer_addrs () =
       frames_in = 0;
       bytes_in = 0;
       decode_errors = 0;
+      polls = 0;
+      poll_timeouts = 0;
+      timers_due = 0;
+      timer_late_us = 0;
+      timer_late_hist = Array.make (Array.length timer_late_bounds_us + 1) 0;
     }
   in
   ignore (Poll.add pollset listen ~events:Poll.pollin Listen : int);
@@ -415,7 +437,18 @@ let connected t =
   Array.iteri (fun p peer -> if p <> t.self && peer.out_fd <> None then incr up) t.peers;
   !up
 
-(* The live event loop: execute due engine events, then block in poll(2)
+(* The loop's wait: until the next timer, the horizon, or 50 ms —
+   whichever is nearest; the cap re-polls [stop] and the deadline on an
+   idle node.  In whole microseconds, rounded up, so a timer never fires
+   early; an overdue timer or a passed horizon gives 0. *)
+let max_wait_ms = 50.0
+
+let wait_us ~now ~next_due ~horizon =
+  let until = match next_due with Some at -> Float.min at horizon | None -> horizon in
+  let ms = Float.min max_wait_ms (Float.max 0.0 (until -. now)) in
+  int_of_float (Float.ceil (ms *. 1000.0))
+
+(* The live event loop: execute due engine events, then block in ppoll(2)
    until the next timer, inbound traffic, or writability of a clogged
    peer.  The engine's horizon is pinned once to [deadline] so that
    self-rearming timer loops (heartbeats) retire by themselves. *)
@@ -460,18 +493,18 @@ let run t ~deadline ~stop =
   in
   let rec loop () =
     let now = Clock.now t.clock in
+    (match Engine.next_due t.engine with
+    | Some at when at <= now -> note_late t (int_of_float ((now -. at) *. 1000.0))
+    | _ -> ());
     Engine.run_due t.engine ~upto:now;
     let now = Clock.now t.clock in
     if not (finished now) then begin
       let horizon = match !stopped_at with Some t0 -> Float.min deadline (t0 +. grace) | None -> deadline in
-      let next_timer =
-        match Engine.next_due t.engine with
-        | Some at -> Float.max 0.0 (at -. now)
-        | None -> 50.0
-      in
-      let timeout_ms = Float.min 50.0 (Float.min next_timer (Float.max 0.0 (horizon -. now))) in
-      let nready = Poll.wait t.pollset ~timeout_ms:(int_of_float (Float.ceil timeout_ms)) in
-      if nready > 0 then List.iter dispatch (Poll.ready t.pollset);
+      let timeout_us = wait_us ~now ~next_due:(Engine.next_due t.engine) ~horizon in
+      let nready = Poll.wait t.pollset ~timeout_us in
+      t.polls <- t.polls + 1;
+      if nready > 0 then List.iter dispatch (Poll.ready t.pollset)
+      else t.poll_timeouts <- t.poll_timeouts + 1;
       loop ()
     end
   in
@@ -490,6 +523,11 @@ type stats = {
   frames_in : int;
   bytes_in : int;
   decode_errors : int;
+  polls : int;
+  poll_timeouts : int;
+  timers_due : int;
+  timer_late_us : int;
+  timer_late_hist : int array;
 }
 
 let stats (t : t) =
@@ -500,4 +538,48 @@ let stats (t : t) =
     frames_in = t.frames_in;
     bytes_in = t.bytes_in;
     decode_errors = t.decode_errors;
+    polls = t.polls;
+    poll_timeouts = t.poll_timeouts;
+    timers_due = t.timers_due;
+    timer_late_us = t.timer_late_us;
+    timer_late_hist = Array.copy t.timer_late_hist;
   }
+
+let late_key i =
+  if i < Array.length timer_late_bounds_us then
+    Printf.sprintf "timer_late_le_%dus" timer_late_bounds_us.(i)
+  else
+    Printf.sprintf "timer_late_gt_%dus"
+      timer_late_bounds_us.(Array.length timer_late_bounds_us - 1)
+
+let stats_to_list (s : stats) =
+  [
+    ("frames_out", s.frames_out);
+    ("bytes_out", s.bytes_out);
+    ("writes_out", s.writes_out);
+    ("frames_in", s.frames_in);
+    ("bytes_in", s.bytes_in);
+    ("decode_errors", s.decode_errors);
+    ("polls", s.polls);
+    ("poll_timeouts", s.poll_timeouts);
+    ("timers_due", s.timers_due);
+    ("timer_late_us", s.timer_late_us);
+  ]
+  @ Array.to_list (Array.mapi (fun i c -> (late_key i, c)) s.timer_late_hist)
+
+(* The bucket holding the [q]-quantile: walk the cumulative counts until
+   they cover [q] of the due timers. *)
+let late_quantile_us kvs q =
+  let count i = Option.value ~default:0 (List.assoc_opt (late_key i) kvs) in
+  let slots = Array.length timer_late_bounds_us + 1 in
+  let total = List.fold_left ( + ) 0 (List.init slots count) in
+  if total = 0 then None
+  else
+    let need = Float.ceil (q *. float_of_int total) in
+    let rec go i acc =
+      let acc = acc + count i in
+      if i = slots - 1 then Some infinity
+      else if float_of_int acc >= need then Some (float_of_int timer_late_bounds_us.(i))
+      else go (i + 1) acc
+    in
+    go 0 0

@@ -1,4 +1,4 @@
-(** The live transport backend: localhost TCP mesh + poll(2) readiness
+(** The live transport backend: localhost TCP mesh + ppoll(2) readiness
     loop.
 
     Wraps {!Ics_net.Transport.create_ext} with real sockets.  Node [i]
@@ -18,7 +18,12 @@
     engine's timer queue from the real clock via
     {!Ics_sim.Engine.run_due}, pinning the engine horizon once to the
     run deadline so self-rearming timers (heartbeats) retire on their
-    own. *)
+    own.
+
+    Timer contract: the loop sleeps in ppoll(2) with a microsecond
+    deadline ({!wait_us}), so a timer never fires early and fires late
+    only by the kernel's timer slack and CPU contention — not by a
+    rounding up to whole milliseconds. *)
 
 module Engine = Ics_sim.Engine
 module Transport = Ics_net.Transport
@@ -50,6 +55,13 @@ val transport : t -> Transport.t
 val connected : t -> int
 (** Number of peers with a live outbound connection. *)
 
+val wait_us : now:float -> next_due:float option -> horizon:float -> int
+(** The loop's ppoll timeout in microseconds at engine time [now] (ms):
+    until the next timer [next_due] or the [horizon], whichever is
+    nearer, capped at 50 ms.  Rounded up to the next microsecond, so a
+    timer never fires early; an overdue timer or a passed horizon
+    gives 0. *)
+
 val run : t -> deadline:float -> stop:(unit -> bool) -> unit
 (** Loop until the clock passes [deadline] (engine-time ms) or [stop]
     returns true and the outbound buffers have drained (with a short
@@ -66,6 +78,29 @@ type stats = {
   frames_in : int;
   bytes_in : int;
   decode_errors : int;
+  polls : int;  (** ppoll(2) calls *)
+  poll_timeouts : int;  (** ppoll(2) calls that returned with nothing ready *)
+  timers_due : int;  (** loop entries that found a timer already due *)
+  timer_late_us : int;
+      (** summed lateness of the first due timer at each such entry;
+          [timer_late_us / timers_due] is the mean *)
+  timer_late_hist : int array;
+      (** the same lateness bucketed by {!timer_late_bounds_us}: slot
+          [i] counts entries late by at most the [i]th bound, the extra
+          last slot the rest *)
 }
 
+val timer_late_bounds_us : int array
+(** Upper bounds of the lateness histogram buckets, microseconds. *)
+
 val stats : t -> stats
+
+val stats_to_list : stats -> (string * int) list
+(** Flat counters (histogram slots as [timer_late_le_<b>us] and
+    [timer_late_gt_<b>us]) — the stats-file format, summable across
+    nodes. *)
+
+val late_quantile_us : (string * int) list -> float -> float option
+(** [late_quantile_us kvs q]: upper bound (µs) of the lateness bucket
+    holding the [q]-quantile of a {!stats_to_list} list, summed or not;
+    [infinity] for the overflow bucket, [None] when no timer was due. *)

@@ -128,6 +128,8 @@ type result = {
   n : int;
   seed : int64;
   retransmit : bool;
+  batching : Abcast.batching;
+  app : bool;
   plan : Nemesis.plan;
   verdict : Checker.verdict;
   quiescent : bool;
@@ -206,6 +208,8 @@ let run_one ?(backend = `Sim) ?(batching = Abcast.no_batching) ?(app = false)
     n;
     seed;
     retransmit;
+    batching;
+    app;
     plan;
     verdict = o.Point.verdict;
     quiescent = o.Point.quiescent;
@@ -214,12 +218,33 @@ let run_one ?(backend = `Sim) ?(batching = Abcast.no_batching) ?(app = false)
     fingerprint = Point.fingerprint o;
   }
 
+(* Every flag that moves the cell off the chaos defaults; the batching
+   knobs are rendered by Profile's own flag rows, which the CLI parses
+   them with. *)
 let replay_hint r =
+  let cell =
+    {
+      Profile.default with
+      Profile.batch = r.batching.Abcast.batch;
+      pipeline = r.batching.Abcast.pipeline;
+      flush_ms = r.batching.Abcast.flush_ms;
+    }
+  in
+  let batching =
+    List.filter_map
+      (fun (spec : Profile.spec) ->
+        let v = spec.Profile.get cell in
+        if v = spec.Profile.get Profile.default then None
+        else Some (Printf.sprintf " --%s %s" (List.hd spec.Profile.keys) v))
+      Profile.batching_specs
+  in
   Printf.sprintf
-    "ics_cli chaos --stacks %s --plans %s --seeds 1 --seed-base %Ld%s%s%s"
+    "ics_cli chaos --stacks %s --plans %s --seeds 1 --seed-base %Ld%s%s%s%s%s"
     (stack_name r.stack) (plan_name r.plan_kind) r.seed
     (if r.retransmit then "" else " --no-retransmit")
     (if r.n <> default_n r.stack then Printf.sprintf " --n %d" r.n else "")
+    (String.concat "" batching)
+    (if r.app then " --app" else "")
     (match r.backend with `Sim -> "" | `Live -> " --live")
 
 type cell = {

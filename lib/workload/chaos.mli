@@ -65,6 +65,8 @@ type result = {
   n : int;
   seed : int64;
   retransmit : bool;
+  batching : Ics_core.Abcast.batching;
+  app : bool;  (** the KV machine rides the cell's broadcasts *)
   plan : Nemesis.plan;
   verdict : Checker.verdict;
   quiescent : bool;  (** did the event queue drain before the horizon *)
@@ -110,7 +112,9 @@ val run_one :
     false. *)
 
 val replay_hint : result -> string
-(** The exact CLI invocation that reproduces this run. *)
+(** The exact CLI invocation that reproduces this run: every flag off
+    its chaos default — [--n], [--no-retransmit], the batching knobs
+    under {!Ics_core.Profile.batching_specs}' names, [--app], [--live]. *)
 
 type cell = {
   c_stack : stack_kind;

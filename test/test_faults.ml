@@ -486,6 +486,38 @@ let test_chaos_sweep_and_report () =
   checkb "hint names the cell" true
     (Test_util.contains hint "--stacks ct-on-ids --plans blackout")
 
+(* A replay line must name the whole cell: parsed back through the chaos
+   command's own flag set, a batched, pipelined, app-hosting cell's hint
+   yields that cell again — same knobs, same trace fingerprint. *)
+let test_chaos_hint_round_trip () =
+  let batching = { Ics_core.Abcast.batch = 4; pipeline = 2; flush_ms = 1.0 } in
+  let r = Chaos.run_one ~batching ~app:true Chaos.Ct_indirect Chaos.Drop ~seed:3L in
+  let hint = Chaos.replay_hint r in
+  let argv =
+    match String.split_on_char ' ' hint with
+    | "ics_cli" :: args -> Array.of_list args
+    | _ -> Alcotest.failf "not a CLI line: %s" hint
+  in
+  let cmd = Cmdliner.Cmd.v (Cmdliner.Cmd.info "chaos") Cli_terms.chaos_cells in
+  match Cmdliner.Cmd.eval_value ~argv cmd with
+  | Ok (`Ok (c : Cli_terms.chaos_cells)) ->
+      checkb "stack" true (c.Cli_terms.stacks = [ r.Chaos.stack ]);
+      checkb "plan" true (c.Cli_terms.plans = [ r.Chaos.plan_kind ]);
+      checki "seeds" 1 c.Cli_terms.seeds;
+      checkb "seed" true (c.Cli_terms.seed_base = r.Chaos.seed);
+      checkb "batching" true (c.Cli_terms.batching = batching);
+      checkb "app" true c.Cli_terms.app;
+      checkb "retransmit" true c.Cli_terms.retransmit;
+      checkb "sim backend" true (c.Cli_terms.backend = `Sim);
+      let again =
+        Chaos.run_one ~backend:c.Cli_terms.backend ~batching:c.Cli_terms.batching
+          ~app:c.Cli_terms.app ~retransmit:c.Cli_terms.retransmit ?n:c.Cli_terms.n
+          (List.hd c.Cli_terms.stacks) (List.hd c.Cli_terms.plans)
+          ~seed:c.Cli_terms.seed_base
+      in
+      Alcotest.(check string) "same run" r.Chaos.fingerprint again.Chaos.fingerprint
+  | _ -> Alcotest.failf "hint did not parse: %s" hint
+
 (* The nondeterminism fence on the parallel sweep: a domains-wide sweep
    must agree with the sequential one on every run's fingerprint (not
    just the failure lists), and both must agree with a fingerprint
@@ -591,6 +623,8 @@ let suites =
         Alcotest.test_case "replay is bit-identical" `Quick
           test_chaos_replay_bit_identical;
         Alcotest.test_case "sweep and report" `Quick test_chaos_sweep_and_report;
+        Alcotest.test_case "replay hint round-trips the cell" `Quick
+          test_chaos_hint_round_trip;
         Alcotest.test_case "parallel sweep is bit-identical" `Quick
           test_chaos_jobs_fingerprint_identical;
       ] );

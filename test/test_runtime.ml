@@ -8,6 +8,7 @@ module Clock = Ics_runtime.Clock
 module Trace_io = Ics_runtime.Trace_io
 module Node = Ics_runtime.Node
 module Cluster = Ics_runtime.Cluster
+module Socket_transport = Ics_runtime.Socket_transport
 module Checker = Ics_checker.Checker
 module Stack = Ics_core.Stack
 module Abcast = Ics_core.Abcast
@@ -120,6 +121,62 @@ let test_merge_sorts_stably () =
   in
   Alcotest.(check (list string)) "stable by time" [ "a1"; "b1"; "b2"; "a3" ] notes
 
+(* The loop's ppoll deadline: microseconds, rounded up (a timer never
+   fires early), capped at 50 ms, and bounded by the horizon.  A
+   millisecond-granular wait would turn the 0.3 ms timer into 1000. *)
+let test_wait_us () =
+  let w = Socket_transport.wait_us in
+  checki "0.3 ms timer" 300 (w ~now:0.0 ~next_due:(Some 0.3) ~horizon:1e6);
+  checki "0.3 ms timer, later clock" 300
+    (w ~now:1000.0 ~next_due:(Some 1000.3) ~horizon:1e6);
+  checki "sub-microsecond rounds up" 1 (w ~now:0.0 ~next_due:(Some 0.0004) ~horizon:1e6);
+  checki "due now" 0 (w ~now:5.0 ~next_due:(Some 5.0) ~horizon:1e6);
+  checki "overdue" 0 (w ~now:10.0 ~next_due:(Some 9.0) ~horizon:1e6);
+  checki "no timer" 50_000 (w ~now:0.0 ~next_due:None ~horizon:1e6);
+  checki "far timer" 50_000 (w ~now:0.0 ~next_due:(Some 400.0) ~horizon:1e6);
+  checki "horizon nearer than the timer" 200
+    (w ~now:0.0 ~next_due:(Some 5.0) ~horizon:0.2);
+  checki "horizon nearer, no timer" 200 (w ~now:0.0 ~next_due:None ~horizon:0.2);
+  checki "horizon passed" 0 (w ~now:10.0 ~next_due:(Some 20.0) ~horizon:5.0)
+
+(* The lateness histogram's quantile walk over a summed counter list. *)
+let test_late_quantile () =
+  let kvs = [ ("timer_late_le_25us", 3); ("timer_late_le_75us", 1); ("timer_late_gt_2000us", 1) ] in
+  let q = Socket_transport.late_quantile_us in
+  Alcotest.(check (option (float 0.0))) "p50" (Some 25.0) (q kvs 0.5);
+  Alcotest.(check (option (float 0.0))) "p80" (Some 75.0) (q kvs 0.8);
+  Alcotest.(check (option (float 0.0))) "p90" (Some infinity) (q kvs 0.9);
+  Alcotest.(check (option (float 0.0))) "no data" None (q [] 0.5)
+
+(* The live loop counters reach the cluster outcome through the per-node
+   stats files: the cluster-smoke shape must write no more often than it
+   queues frames, decode everything, and fire its timers through the
+   loop. *)
+let test_cluster_net_counters () =
+  if Cluster.supported () then
+    let node =
+      {
+        Node.default_workload with
+        Node.profile = { Profile.default with Profile.count = 10; deadline_ms = 20_000.0 };
+      }
+    in
+    match Cluster.run { Cluster.default with Cluster.node } with
+    | Error _ -> ()
+    | Ok o ->
+        checkb "cluster ok" true (Cluster.ok o);
+        let net k =
+          match List.assoc_opt k o.Cluster.net with
+          | Some v -> v
+          | None -> Alcotest.failf "net.%s missing" k
+        in
+        checkb "frames_out >= writes_out" true (net "frames_out" >= net "writes_out");
+        checkb "writes_out > 0" true (net "writes_out" > 0);
+        checki "decode_errors" 0 (net "decode_errors");
+        checkb "timers_due > 0" true (net "timers_due" > 0);
+        checkb "polls > 0" true (net "polls" > 0);
+        checkb "gc minor words" true
+          (Option.value ~default:0 (List.assoc_opt "minor_words" o.Cluster.gc) > 0)
+
 (* Fork a real 3-node loopback cluster and let the checker judge the
    merged logs.  Skipped (cleanly) where the sandbox forbids sockets. *)
 let cluster_case name config =
@@ -157,6 +214,8 @@ let suites =
         Alcotest.test_case "trace io keep filter" `Quick test_trace_io_keep_filter;
         Alcotest.test_case "trace io rejects garbage" `Quick test_trace_io_rejects_garbage;
         Alcotest.test_case "merge stable by time" `Quick test_merge_sorts_stably;
+        Alcotest.test_case "ppoll wait in microseconds" `Quick test_wait_us;
+        Alcotest.test_case "timer lateness quantile" `Quick test_late_quantile;
       ] );
     ( "live-cluster",
       [
@@ -173,5 +232,7 @@ let suites =
                  Profile.broadcast = Stack.Uniform;
                  ordering = Abcast.Consensus_on_ids;
                }));
+        Alcotest.test_case "net counters reach the outcome" `Slow
+          test_cluster_net_counters;
       ] );
   ]
