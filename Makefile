@@ -1,6 +1,6 @@
 # Convenience targets; `make verify` is the pre-merge gate.
 
-.PHONY: all build test bench chaos chaos-smoke jobs-smoke chaos-live-smoke cluster-smoke saturation-smoke service-smoke bench-smoke lint lint-report verify clean
+.PHONY: all build test chaos chaos-smoke jobs-smoke chaos-live-smoke cluster-smoke saturation-smoke service-smoke bench-smoke lint lint-report verify clean
 
 all: build
 
@@ -15,11 +15,6 @@ test:
 SKIP_NO_SOCKETS = rc=$$?; \
 	if [ $$rc -eq 2 ]; then echo "$@: skipped (no loopback sockets)"; \
 	elif [ $$rc -ne 0 ]; then exit $$rc; fi
-
-# Paper figures, ablations, fault tables and microbenchmarks (~minutes).
-# Wall-clock and per-layer numbers come from perfbench/ (BENCHMARK.json).
-bench:
-	dune exec bench/main.exe
 
 # Full chaos sweep: 100 seeds x every stack x every fault plan (~a minute
 # single-threaded; cells run jobs-wide on OCaml 5 domains, bit-identical

@@ -1,6 +1,6 @@
 (* Command-line driver for the indirect-consensus atomic broadcast
-   simulator: run single experiments, regenerate the paper's figures, and
-   replay the adversarial scenarios. *)
+   simulator: run single experiments, regenerate the paper's figures and
+   ablation tables, and replay the adversarial scenarios. *)
 
 open Cmdliner
 module Stack = Ics_core.Stack
@@ -8,6 +8,7 @@ module Abcast = Ics_core.Abcast
 module Profile = Ics_core.Profile
 module Experiment = Ics_workload.Experiment
 module Figures = Ics_workload.Figures
+module Ablations = Ics_workload.Ablations
 module Scenarios = Ics_workload.Scenarios
 module Chaos = Ics_workload.Chaos
 module Point = Ics_workload.Point
@@ -96,31 +97,44 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Run one atomic-broadcast configuration under a synthetic load")
     Term.(const exec $ profile $ setup $ tput $ size $ duration $ seed $ check)
 
-(* `figure` command: regenerate one of the paper's figures (or all). *)
+(* `figure` command: regenerate one of the paper's figures (or all of
+   them), or one of the ablation tables. *)
 
 let figure_cmd =
   let exec id quick csv seed seeds verbose =
-    let figures =
-      if id = "all" then Figures.all
-      else
-        match Figures.find id with
-        | Some f -> [ f ]
-        | None ->
-            Format.eprintf "unknown figure %s; available: %s@." id
-              (String.concat ", " (Figures.ids ()));
-            exit 1
+    let print table note =
+      if csv then print_string (Table.to_csv table)
+      else begin
+        Table.print table;
+        Format.printf "%s@.@." note
+      end
     in
-    List.iter
-      (fun f ->
-        let progress = if verbose then fun s -> Format.eprintf "  %s@." s else fun _ -> () in
-        let table = Figures.run ~quick ~seed ~seeds ~progress f in
-        if csv then print_string (Table.to_csv table) else Table.print table;
-        if not csv then
-          Format.printf "paper: %s@.@." f.Figures.paper_shape)
-      figures
+    let run_figure f =
+      let progress = if verbose then fun s -> Format.eprintf "  %s@." s else fun _ -> () in
+      print (Figures.run ~quick ~seed ~seeds ~progress f) ("paper: " ^ f.Figures.paper_shape)
+    in
+    if id = "all" then List.iter run_figure Figures.all
+    else
+      match (Figures.find id, Ablations.find id) with
+      | Some f, _ -> run_figure f
+      | None, Some a ->
+          if seed <> 1L || seeds <> 1 then begin
+            Format.eprintf
+              "%s runs at the default seed; --seed and --seeds apply to paper figures@." id;
+            exit 1
+          end;
+          print (a.Ablations.run ~quick) ("expectation: " ^ a.Ablations.expectation)
+      | None, None ->
+          Format.eprintf "unknown figure %s; available: all, %s, %s@." id
+            (String.concat ", " (Figures.ids ()))
+            (String.concat ", " (List.map (fun a -> a.Ablations.id) Ablations.all));
+          exit 1
   in
   let id =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"FIGURE" ~doc:"Figure id or 'all'.")
+    Arg.(
+      required
+      & pos 0 (some string) None
+      & info [] ~docv:"FIGURE" ~doc:"Figure or ablation id, or 'all' (every paper figure).")
   in
   let quick = Arg.(value & flag & info [ "quick" ] ~doc:"Quarter-length runs.") in
   let csv = Arg.(value & flag & info [ "csv" ] ~doc:"CSV output.") in
@@ -130,7 +144,7 @@ let figure_cmd =
   in
   let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Per-cell progress on stderr.") in
   Cmd.v
-    (Cmd.info "figure" ~doc:"Regenerate a figure of the paper's evaluation")
+    (Cmd.info "figure" ~doc:"Regenerate a figure of the paper's evaluation or an ablation table")
     Term.(const exec $ id $ quick $ csv $ seed $ seeds $ verbose)
 
 (* `violation` command: the adversarial scenarios. *)
@@ -832,10 +846,15 @@ let service_cmd =
 let list_cmd =
   let exec () =
     List.iter
-      (fun f -> Format.printf "%-6s %s@." f.Figures.id f.Figures.title)
-      Figures.all
+      (fun f -> Format.printf "%-11s %s@." f.Figures.id f.Figures.title)
+      Figures.all;
+    List.iter
+      (fun a -> Format.printf "%-11s %s@." a.Ablations.id a.Ablations.title)
+      Ablations.all
   in
-  Cmd.v (Cmd.info "list" ~doc:"List the figures this tool can regenerate") Term.(const exec $ const ())
+  Cmd.v
+    (Cmd.info "list" ~doc:"List the figures and ablation tables this tool can regenerate")
+    Term.(const exec $ const ())
 
 let () =
   let doc = "Atomic broadcast with indirect consensus (Ekwall & Schiper, DSN 2006) simulator" in

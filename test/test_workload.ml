@@ -1,9 +1,10 @@
-(* Tests for the workload generator, experiment runner and figure
-   definitions. *)
+(* Tests for the workload generator, experiment runner, figure
+   definitions and ablation tables. *)
 
 module Stack = Ics_core.Stack
 module Experiment = Ics_workload.Experiment
 module Figures = Ics_workload.Figures
+module Ablations = Ics_workload.Ablations
 module Stats = Ics_prelude.Stats
 
 let checkb = Alcotest.(check bool)
@@ -124,6 +125,64 @@ let test_claims_hold () =
     verdicts;
   Alcotest.(check bool) "at least ten claims" true (List.length verdicts >= 10)
 
+(* Every ablation table once at quick length (~2 s together): the ids
+   and table shapes, plus the rows whose values are exact — the f < n/3
+   liveness boundary and the good-run message counts of the three
+   broadcast substrates. *)
+let test_ablations_run_once () =
+  let ids = List.map (fun a -> a.Ablations.id) Ablations.all in
+  checki "ids unique" (List.length ids) (List.length (List.sort_uniq String.compare ids));
+  List.iter
+    (fun id ->
+      checkb (id ^ " is not a figure id") false (List.mem id (Figures.ids ()));
+      checkb (id ^ " is findable") true (Ablations.find id <> None))
+    ids;
+  let columns =
+    [
+      ("abl-network", 3); ("abl-quorum", 5); ("abl-rb", 5); ("abl-rcv", 4);
+      ("ext-algo", 4); ("ext-scale", 4); ("faults", 6); ("claims", 4);
+    ]
+  in
+  Alcotest.(check (list string)) "every table declared" (List.map fst columns) ids;
+  let rows =
+    List.map (fun a -> (a.Ablations.id, Ics_prelude.Table.rows (a.Ablations.run ~quick:true)))
+      Ablations.all
+  in
+  List.iter
+    (fun (id, table) ->
+      checkb (id ^ " has rows") true (table <> []);
+      List.iter (fun row -> checki (id ^ " row width") (List.assoc id columns) (List.length row))
+        table)
+    rows;
+  let quorum = List.assoc "abl-quorum" rows in
+  checki "nine (n, f) rows" 9 (List.length quorum);
+  List.iter
+    (fun row ->
+      match row with
+      | [ n; _; f; _; delivered ] ->
+          let n = int_of_string n and f = int_of_string f in
+          checki (Printf.sprintf "n=%d f=%d delivers iff f < n/3" n f)
+            (if 3 * f < n then 1 else 0) (int_of_string delivered)
+      | _ -> Alcotest.fail "abl-quorum row")
+    quorum;
+  let rb = List.assoc "abl-rb" rows in
+  Alcotest.(check (list string)) "abl-rb covers n = 3..7" [ "3"; "4"; "5"; "6"; "7" ]
+    (List.map List.hd rb);
+  List.iter
+    (fun row ->
+      match row with
+      | [ n; flood; fd_relay; uniform; _ ] ->
+          let n = int_of_string n in
+          let exact label expected cell =
+            Alcotest.(check string) (Printf.sprintf "n=%d %s msgs/abcast" n label)
+              (Printf.sprintf "%d.0" expected) cell
+          in
+          exact "fd-relay" (n - 1) fd_relay;
+          exact "flood" ((n - 1) + ((n - 1) * (n - 2))) flood;
+          exact "uniform" ((n - 1) + (n * (n - 1))) uniform
+      | _ -> Alcotest.fail "abl-rb row")
+    rb
+
 (* The paper's Setup 1 workload behind every figure — n=3 CT-indirect
    over flood, 1 kB Poisson arrivals at 800 msg/s for 20 s after a
    0.5 s warm-up, default seed.  The latency digest and the message
@@ -161,5 +220,6 @@ let suites =
         Alcotest.test_case "load scaling" `Quick test_load_for_scaling;
         Alcotest.test_case "one cell end-to-end" `Quick test_figure_runs_one_cell;
         Alcotest.test_case "paper claims hold" `Slow test_claims_hold;
+        Alcotest.test_case "ablations run once" `Slow test_ablations_run_once;
       ] );
   ]
